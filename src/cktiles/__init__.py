@@ -35,13 +35,14 @@ from .graph import (
     graph_from_matrix,
     is_essential,
     is_irreducible,
-    is_irreducible_by_powers,
     satisfies_condition_I,
+    unreachable_pair,
 )
 from .ktheory import (
     AbelianGroup,
     KGroups,
     SnfResult,
+    block_matrix_k0,
     canonicalize,
     cokernel,
     group_equal,
@@ -107,6 +108,7 @@ __all__ = [
     "TextileSystem",
     "Tile",
     "ValidationReport",
+    "block_matrix_k0",
     "build_system",
     "canonical_specification",
     "canonical_system",
@@ -129,7 +131,6 @@ __all__ = [
     "invariant_factors_oracle",
     "is_essential",
     "is_irreducible",
-    "is_irreducible_by_powers",
     "is_transitive_matrix",
     "is_transitive_search",
     "kernel_rank",
@@ -140,6 +141,7 @@ __all__ = [
     "smith_normal_form",
     "torsion_tail_matrix",
     "torsion_tail_orders",
+    "unreachable_pair",
     "validate_specification",
     "verify_closed_form",
     "witness_is_valid",

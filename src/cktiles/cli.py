@@ -13,14 +13,12 @@ error; 3 input error; 4 commutation error; 5 invalid specification.
 import argparse
 import json
 import sys
-from collections import deque
 
 from .closedform import verify_closed_form
 from .corpus import standard_corpus
 from .errors import CommutationError, InputError, SpecificationError
-from .graph import graph_from_matrix, is_essential, satisfies_condition_I
-from .ktheory import AbelianGroup, cokernel, group_equal, kernel_rank
-from .matrices import IntMatrix
+from .graph import graph_from_matrix, is_essential, satisfies_condition_I, unreachable_pair
+from .ktheory import block_matrix_k0, group_equal, kgroups_of_system
 from .textile import (
     Specification,
     build_system,
@@ -83,6 +81,9 @@ def _parse_system(payload):
     kappa_field = payload.get("kappa", "canonical")
     ga = graph_from_matrix(matrix_a, "A")
     gb = graph_from_matrix(matrix_b, "B")
+    for name, matrix in (("A", matrix_a), ("B", matrix_b)):
+        if not is_essential(matrix):
+            raise InputError(f"matrix {name} is not essential: it has a zero row or column")
     require_commuting(ga, gb)
     if kappa_field == "canonical":
         kappa = canonical_specification(ga, gb)
@@ -94,7 +95,10 @@ def _parse_system(payload):
         domain = []
         mapping = {}
         for entry in kappa_field:
-            if not (isinstance(entry, list) and len(entry) == 2):
+            if not (
+                isinstance(entry, list) and len(entry) == 2
+                and all(isinstance(half, list) and len(half) == 2 for half in entry)
+            ):
                 raise ParseError("explicit kappa entries must be [[alpha,b],[a,beta]] pairs")
             (alpha_id, b_id), (a_id, beta_id) = entry
             pair = (_edge_from_id(ga, alpha_id), _edge_from_id(gb, b_id))
@@ -118,41 +122,18 @@ def _group_payload(group):
 
 
 def _kgroups_payload(sys_):
-    n = len(sys_.omega)
-    core = sys_.a_kappa + sys_.b_kappa - IntMatrix.identity(n)
-    k0 = cokernel(core)
-    k1 = AbelianGroup(free_rank=kernel_rank(core))
-    k0_from_block = cokernel(IntMatrix.identity(2 * n) - sys_.h_kappa.transpose())
+    """K0 and K1, with K0 recomputed from the block matrix as a cross-check."""
+    groups = kgroups_of_system(sys_)
+    k0_from_block = block_matrix_k0(sys_)
     return {
-        "k0": _group_payload(k0),
-        "k1": _group_payload(k1),
+        "k0": _group_payload(groups.k0),
+        "k1": _group_payload(groups.k1),
         "k0_from_block_matrix": _group_payload(k0_from_block),
-        "block_matrix_cross_check": group_equal(k0, k0_from_block),
+        "block_matrix_cross_check": group_equal(groups.k0, k0_from_block),
     }
 
 
-def _unreachable_pair(matrix):
-    """Some (p, q) with no directed path p -> q in the support digraph."""
-    rows = matrix.data
-    n = len(rows)
-    succ = [[j for j in range(n) if rows[i][j]] for i in range(n)]
-    pred = [[j for j in range(n) if rows[j][i]] for i in range(n)]
-    for adjacency, orient in ((succ, "forward"), (pred, "backward")):
-        seen = {0}
-        frontier = deque([0])
-        while frontier:
-            v = frontier.popleft()
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        for q in range(n):
-            if q not in seen:
-                return (0, q) if orient == "forward" else (q, 0)
-    return (0, 0)
-
-
-def _check_payload(sys_, emit_matrices):
+def _check_payload(sys_):
     checks = {}
     a_matrix = sys_.graph_a.to_matrix()
     b_matrix = sys_.graph_b.to_matrix()
@@ -182,7 +163,7 @@ def _check_payload(sys_, emit_matrices):
     if transitive:
         transitive_detail = "A_k + B_k is irreducible"
     else:
-        p, q = _unreachable_pair(sys_.a_kappa + sys_.b_kappa)
+        p, q = unreachable_pair(sys_.a_kappa + sys_.b_kappa)
         transitive_detail = (
             f"no path from corner pair {p} to corner pair {q} in A_k + B_k"
         )
@@ -205,12 +186,6 @@ def _check_payload(sys_, emit_matrices):
         "checks": checks,
         "kgroups": _kgroups_payload(sys_),
     }
-    if emit_matrices:
-        report["matrices"] = {
-            "a_kappa": sys_.a_kappa.to_lists(),
-            "b_kappa": sys_.b_kappa.to_lists(),
-            "h_kappa": sys_.h_kappa.to_lists(),
-        }
     structural = [
         "a_essential", "b_essential", "ab_commute", "kappa_valid",
         "transition_commute", "h_essential", "h_condition_I", "diagonal_property",
@@ -273,10 +248,21 @@ def _pretty_scalar(value):
     return str(value)
 
 
+def _print_system_report(report, sys_, args):
+    """Print a check or kgroups report, with the transition matrices if asked."""
+    if args.emit_matrices:
+        report["matrices"] = {
+            "a_kappa": sys_.a_kappa.to_lists(),
+            "b_kappa": sys_.b_kappa.to_lists(),
+            "h_kappa": sys_.h_kappa.to_lists(),
+        }
+    print(_render(report, args.pretty), end="")
+
+
 def cmd_check(args):
     sys_ = _parse_system(_load_payload(args.input))
-    report, all_ok = _check_payload(sys_, args.emit_matrices)
-    print(_render(report, args.pretty), end="")
+    report, all_ok = _check_payload(sys_)
+    _print_system_report(report, sys_, args)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
@@ -286,13 +272,7 @@ def cmd_kgroups(args):
         "system": _system_payload(sys_),
         "kgroups": _kgroups_payload(sys_),
     }
-    if args.emit_matrices:
-        report["matrices"] = {
-            "a_kappa": sys_.a_kappa.to_lists(),
-            "b_kappa": sys_.b_kappa.to_lists(),
-            "h_kappa": sys_.h_kappa.to_lists(),
-        }
-    print(_render(report, args.pretty), end="")
+    _print_system_report(report, sys_, args)
     return EXIT_OK
 
 
@@ -398,7 +378,7 @@ def cmd_corpus(args):
     systems = []
     all_ok = True
     for entry in entries:
-        report, ok = _check_payload(entry.system, emit_matrices=False)
+        report, ok = _check_payload(entry.system)
         all_ok = all_ok and ok and report["kgroups"]["block_matrix_cross_check"]
         systems.append(
             {

@@ -10,6 +10,7 @@ essentiality (no zero row or column), irreducibility (strong connectivity of
 the support digraph) and condition (I) (every cycle has an exit).
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import InputError
@@ -42,20 +43,22 @@ class DirectedMultigraph:
     edges: tuple
     label: str
     _position: dict = field(init=False, repr=False, compare=False)
+    _by_key: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_position", {e: i for i, e in enumerate(self.edges)})
+        object.__setattr__(self, "_by_key", {e.key: e for e in self.edges})
 
     def position(self, edge):
         """Ordinal of ``edge`` in the canonical (source, range, index) order."""
         return self._position[edge]
 
     def edge_by_key(self, key):
-        source, rng, index = key
-        for e in self.edges:
-            if e.source == source and e.range == rng and e.index == index:
-                return e
-        raise InputError(f"no edge {tuple(key)} in graph {self.label!r}")
+        """The edge with identifier (source, range, index)."""
+        edge = self._by_key.get(tuple(key))
+        if edge is None:
+            raise InputError(f"no edge {tuple(key)} in graph {self.label!r}")
+        return edge
 
     def to_matrix(self):
         """Recount edge multiplicities back into a matrix of ints."""
@@ -114,90 +117,45 @@ def _support_successors(rows):
     return [[j for j, x in enumerate(row) if x] for row in rows]
 
 
-def _scc_count(succ, n):
-    """Number of strongly connected components (iterative Tarjan)."""
-    unvisited = -1
-    index_of = [unvisited] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    counter = 0
-    count = 0
-    for root in range(n):
-        if index_of[root] != unvisited:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, scan = work[-1]
-            if scan == 0:
-                index_of[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            children = succ[v]
-            for i in range(scan, len(children)):
-                w = children[i]
-                if index_of[w] == unvisited:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index_of[v]:
-                count += 1
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    if w == v:
-                        break
-    return count
+def unreachable_pair(matrix):
+    """A witness (p, q) of 0-based vertices with no path from p to q, or None.
+
+    None means the matrix is irreducible.  Two breadth-first searches from
+    vertex 0, along the edges and against them, find the first vertex q
+    that 0 cannot reach, giving (0, q), or else the first that cannot reach
+    0, giving (q, 0).  When both reach everything the digraph is strongly
+    connected, which is irreducibility except for a loopless single vertex;
+    its witness is (0, 0).
+    """
+    rows = _square_rows(matrix)
+    n = len(rows)
+    if n == 0:
+        raise InputError("reachability needs at least one vertex")
+    succ = _support_successors(rows)
+    pred = [[i for i in range(n) if rows[i][j]] for j in range(n)]
+    for adjacency, forward in ((succ, True), (pred, False)):
+        seen = {0}
+        frontier = deque([0])
+        while frontier:
+            for w in adjacency[frontier.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        for q in range(n):
+            if q not in seen:
+                return (0, q) if forward else (q, 0)
+    return None if n > 1 or rows[0][0] else (0, 0)
 
 
 def is_irreducible(matrix):
     """True iff some power of the matrix has a positive (i, j) entry for all i, j.
 
     Equivalently: the support digraph is strongly connected (and the single
-    vertex carries a loop in the 1x1 case).
+    vertex carries a loop in the 1x1 case), so :func:`unreachable_pair`
+    finds no witness.
     """
     rows = _square_rows(matrix)
-    n = len(rows)
-    if n == 0:
-        return False
-    if n == 1:
-        return rows[0][0] > 0
-    return _scc_count(_support_successors(rows), n) == 1
-
-
-def is_irreducible_by_powers(matrix):
-    """Second, independent irreducibility test: OR the boolean powers M^1..M^n.
-
-    Exists purely as a cross-check for :func:`is_irreducible`; quadratic in
-    memory and quartic in time, so keep inputs small.
-    """
-    rows = _square_rows(matrix)
-    n = len(rows)
-    if n == 0:
-        return False
-    sup = [[bool(x) for x in row] for row in rows]
-    reach = [row[:] for row in sup]
-    acc = [row[:] for row in sup]
-    for _ in range(n - 1):
-        reach = [
-            [any(reach[i][k] and sup[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        for i in range(n):
-            for j in range(n):
-                acc[i][j] = acc[i][j] or reach[i][j]
-    return all(all(row) for row in acc)
+    return bool(rows) and unreachable_pair(rows) is None
 
 
 def satisfies_condition_I(matrix):

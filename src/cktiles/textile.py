@@ -105,15 +105,19 @@ class TextileSystem:
         )
 
 
+def _require_same_vertices(ga, gb):
+    if ga.vertex_count != gb.vertex_count:
+        raise InputError(
+            f"vertex counts differ: {ga.vertex_count} vs {gb.vertex_count}"
+        )
+
+
 def sigma_ab(ga, gb):
     """All pairs (alpha, b) with alpha an A-edge, b a B-edge and r(alpha) = s(b).
 
     Ordered lexicographically by (position of alpha, position of b).
     """
-    if ga.vertex_count != gb.vertex_count:
-        raise InputError(
-            f"vertex counts differ: {ga.vertex_count} vs {gb.vertex_count}"
-        )
+    _require_same_vertices(ga, gb)
     return [
         (alpha, b) for alpha in ga.edges for b in gb.edges if alpha.range == b.source
     ]
@@ -121,30 +125,24 @@ def sigma_ab(ga, gb):
 
 def sigma_ba(ga, gb):
     """All pairs (a, beta) with a a B-edge, beta an A-edge and r(a) = s(beta)."""
-    if ga.vertex_count != gb.vertex_count:
-        raise InputError(
-            f"vertex counts differ: {ga.vertex_count} vs {gb.vertex_count}"
-        )
+    _require_same_vertices(ga, gb)
     return [(a, beta) for a in gb.edges for beta in ga.edges if a.range == beta.source]
 
 
-def _matrix_product(x, y):
-    n = len(x)
-    return [
-        [sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-    ]
-
-
 def require_commuting(ga, gb):
-    """Raise CommutationError (citing the first differing entry) unless AB = BA."""
-    a = ga.to_matrix()
-    b = gb.to_matrix()
-    ab = _matrix_product(a, b)
-    ba = _matrix_product(b, a)
-    for i in range(len(a)):
-        for j in range(len(a)):
-            if ab[i][j] != ba[i][j]:
-                raise CommutationError(i + 1, j + 1, ab[i][j], ba[i][j])
+    """Raise CommutationError (citing the first differing entry) unless AB = BA.
+
+    Graphs on different vertex counts raise InputError first.
+    """
+    _require_same_vertices(ga, gb)
+    a = IntMatrix(ga.to_matrix())
+    b = IntMatrix(gb.to_matrix())
+    ab = a @ b
+    ba = b @ a
+    for i in range(a.rows):
+        for j in range(a.rows):
+            if ab[i, j] != ba[i, j]:
+                raise CommutationError(i + 1, j + 1, ab[i, j], ba[i, j])
 
 
 def canonical_specification(ga, gb):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cktiles.cli import main
 
 EXCHANGE_2_3 = {"A": [[2]], "B": [[3]], "kappa": "exchange"}
@@ -87,6 +89,33 @@ def test_invalid_explicit_kappa_exits_5(tmp_path, capsys):
     code, _, err = _run(capsys, ["check", _write(tmp_path, payload)])
     assert code == 5
     assert "invalid specification" in err
+
+
+@pytest.mark.parametrize("command", ["check", "kgroups", "tiles"])
+@pytest.mark.parametrize(
+    "payload, code, message",
+    [
+        (
+            {"A": [[1, 0], [0, 1]], "B": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+            3,
+            "input error: vertex counts differ: 2 vs 3",
+        ),
+        (
+            {"A": [[2]], "B": [[2]], "kappa": [[1, 2]]},
+            2,
+            "parse error: explicit kappa entries must be [[alpha,b],[a,beta]] pairs",
+        ),
+        ({"A": [[0]], "B": [[0]]}, 3, "input error: matrix A is not essential"),
+        ({"A": [[1, 1], [1, 1]], "B": [[0, 0], [1, 1]]}, 3, "input error: matrix B is not essential"),
+    ],
+)
+def test_rejected_input_exits_with_one_line(tmp_path, capsys, command, payload, code, message):
+    exit_code, out, err = _run(capsys, [command, _write(tmp_path, payload)])
+    assert exit_code == code
+    assert out == ""
+    assert err.startswith(message)
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_kgroups_exchange_3_3(tmp_path, capsys):

@@ -10,8 +10,8 @@ from cktiles.graph import (
     graph_from_matrix,
     is_essential,
     is_irreducible,
-    is_irreducible_by_powers,
     satisfies_condition_I,
+    unreachable_pair,
 )
 
 
@@ -30,6 +30,14 @@ def test_entry_counts():
     g = graph_from_matrix([[1, 2], [0, 1]], "A")
     assert len(g.edges) == 4
     assert [e.key for e in g.edges] == [(1, 1, 1), (1, 2, 1), (1, 2, 2), (2, 2, 1)]
+
+
+def test_edge_by_key_finds_each_edge_and_names_unknown_keys():
+    g = graph_from_matrix([[1, 2], [0, 1]], "A")
+    assert [g.edge_by_key(e.key) for e in g.edges] == list(g.edges)
+    assert g.edge_by_key([1, 2, 2]) is g.edges[2]
+    with pytest.raises(InputError, match=r"no edge \(2, 1, 1\) in graph 'A'"):
+        g.edge_by_key((2, 1, 1))
 
 
 def test_rejects_bad_matrices():
@@ -76,12 +84,66 @@ def test_is_irreducible_examples():
     assert not is_irreducible([[0]])
 
 
+def test_unreachable_pair_examples():
+    assert unreachable_pair([[0, 1], [1, 0]]) is None
+    assert unreachable_pair([[2]]) is None
+    assert unreachable_pair([[0]]) == (0, 0)
+    assert unreachable_pair([[1, 0], [0, 1]]) == (0, 1)
+    assert unreachable_pair([[1, 1], [0, 1]]) == (1, 0)
+    assert unreachable_pair([[0, 1, 0], [0, 0, 1], [0, 1, 0]]) == (1, 0)
+    with pytest.raises(InputError):
+        unreachable_pair([])
+
+
+def is_irreducible_by_powers(rows):
+    """Second, independent irreducibility test: OR the boolean powers M^1..M^n.
+
+    A cross-check for :func:`is_irreducible`; quadratic in memory and
+    quartic in time, so it lives here rather than in the package.
+    """
+    n = len(rows)
+    if n == 0:
+        return False
+    sup = [[bool(x) for x in row] for row in rows]
+    reach = [row[:] for row in sup]
+    acc = [row[:] for row in sup]
+    for _ in range(n - 1):
+        reach = [
+            [any(reach[i][k] and sup[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        for i in range(n):
+            for j in range(n):
+                acc[i][j] = acc[i][j] or reach[i][j]
+    return all(all(row) for row in acc)
+
+
+def _has_positive_path(rows, p, q):
+    """Whether some path of length at least one runs from p to q."""
+    reached = set()
+    stack = [p]
+    while stack:
+        for w, x in enumerate(rows[stack.pop()]):
+            if x and w not in reached:
+                reached.add(w)
+                stack.append(w)
+    return q in reached
+
+
 def test_irreducibility_implementations_agree():
     rng = random.Random(417)
+    witnesses = 0
     for _ in range(300):
         n = rng.randint(1, 8)
         m = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
-        assert is_irreducible(m) == is_irreducible_by_powers(m), m
+        irreducible = is_irreducible(m)
+        assert irreducible == is_irreducible_by_powers(m), m
+        witness = unreachable_pair(m)
+        assert (witness is None) == irreducible, m
+        if witness is not None:
+            witnesses += 1
+            assert not _has_positive_path(m, *witness), (m, witness)
+    assert witnesses > 30
 
 
 def _all_simple_cycles(rows):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cktiles.errors import InputError, OracleScaleError
 from cktiles.ktheory import (
     AbelianGroup,
+    block_matrix_k0,
     canonicalize,
     cokernel,
     group_equal,
@@ -159,6 +160,26 @@ def test_kernel_rank_examples():
         assert kernel_rank(core) == 0
 
 
+def test_kernel_rank_is_n_minus_oracle_rank():
+    # K1 is read off the cokernel's free rank; the determinantal-divisor
+    # oracle gives the rank independently of elimination
+    rng = random.Random(58)
+    singular = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        basis = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        rows = []
+        for _ in range(n):
+            coeffs = [rng.randint(-2, 2) for _ in basis]
+            rows.append([sum(c * v[j] for c, v in zip(coeffs, basis)) for j in range(n)])
+        m = IntMatrix(rows)
+        singular += m.det() == 0
+        assert kernel_rank(m) == n - len(invariant_factors_oracle(m)), rows
+    assert singular > 20
+    with pytest.raises(InputError):
+        kernel_rank(IntMatrix.zeros(2, 3))
+
+
 def test_kgroups_exchange_2_3():
     kg = kgroups_of_system(exchange_system(2, 3))
     assert kg.k0 == AbelianGroup(free_rank=0, torsion=(8,))
@@ -214,9 +235,15 @@ def test_theorem_cross_check_on_corpus(corpus):
             IntMatrix.identity(2 * n) - sys_.h_kappa.transpose()
         )
         assert group_equal(k0, k0_from_block), entry.label
-        # kgroups_of_system re-asserts the same equality internally
-        kg = kgroups_of_system(sys_)
-        assert group_equal(kg.k0, k0)
+        # kgroups_of_system no longer compares the two routes itself
+        assert kgroups_of_system(sys_).k0 == k0 == block_matrix_k0(sys_), entry.label
+
+
+def test_block_matrix_k0_matches_kgroups_on_exchange_pairs():
+    for n in range(2, 9):
+        for m in range(n, 9):
+            sys_ = exchange_system(n, m)
+            assert block_matrix_k0(sys_) == kgroups_of_system(sys_).k0, (n, m)
 
 
 def test_negation_gives_same_cokernel():

@@ -121,6 +121,13 @@ def test_search_agrees_with_matrix_criterion(small_corpus):
         assert is_transitive_search(sys_, 2 * len(sys_.omega)) == expected, entry.label
 
 
+def test_block_matrix_irreducibility_matches_matrix_criterion(corpus):
+    assert any(not is_transitive_matrix(e.system) for e in corpus)
+    for entry in corpus:
+        sys_ = entry.system
+        assert is_irreducible(sys_.h_kappa) == is_transitive_matrix(sys_), entry.label
+
+
 def _positivity_within_dimension(sys_):
     """For all corner pairs, some A*(A+B)^n and B*(A+B)^m entry is positive
     with n, m at most the matrix dimension."""
