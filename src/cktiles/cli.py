@@ -70,7 +70,7 @@ def _require_matrix(payload, name):
 
 
 def _edge_from_id(graph, value):
-    if not (isinstance(value, list) and len(value) == 3 and all(isinstance(x, int) for x in value)):
+    if not (isinstance(value, list) and len(value) == 3 and all(type(x) is int for x in value)):
         raise ParseError(f"edge identifiers must be [source, range, index] triples, got {value!r}")
     return graph.edge_by_key(tuple(value))
 

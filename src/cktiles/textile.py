@@ -154,8 +154,9 @@ def canonical_specification(ga, gb):
     (AB)(i, j) = (BA)(i, j), so commutation is exactly what makes this work.
     """
     require_commuting(ga, gb)
+    domain = tuple(sigma_ab(ga, gb))
     blocks_ab = {}
-    for alpha, b in sigma_ab(ga, gb):
+    for alpha, b in domain:
         blocks_ab.setdefault((alpha.source, b.range), []).append((alpha, b))
     blocks_ba = {}
     for a, beta in sigma_ba(ga, gb):
@@ -165,7 +166,7 @@ def canonical_specification(ga, gb):
         ba_list = blocks_ba.get(key, [])
         for pair, image in zip(ab_list, ba_list):
             mapping[pair] = image
-    return Specification(domain=tuple(sigma_ab(ga, gb)), mapping=mapping)
+    return Specification(domain=domain, mapping=mapping)
 
 
 def exchange_specification(n, m):

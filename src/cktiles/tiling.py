@@ -208,6 +208,33 @@ def witness_is_valid(sys, witness, start, target):
     return (current.top, current.left) == (target.top, target.left)
 
 
+def _staircase_bfs(sys, start_idx, max_steps, right_succ, down_succ, goal_corner=None):
+    """Breadth-first search over (tile index, saw-a-Right, saw-a-Down) states.
+
+    Returns the parent map and the first state with both flags set whose tile
+    has the (top, left) corner ``goal_corner``, or None; without a goal corner
+    the search runs to ``max_steps`` and the map holds every state reached.
+    """
+    start_state = (start_idx, False, False)
+    parents = {start_state: None}
+    frontier = deque([(start_state, 0)])
+    while frontier:
+        state, depth = frontier.popleft()
+        idx, saw_r, saw_d = state
+        tile = sys.tiles[idx]
+        if saw_r and saw_d and (tile.top, tile.left) == goal_corner:
+            return parents, state
+        if depth == max_steps:
+            continue
+        steps = [((nxt, True, saw_d), RIGHT) for nxt in right_succ[idx]]
+        steps += [((nxt, saw_r, True), DOWN) for nxt in down_succ[idx]]
+        for ns, move in steps:
+            if ns not in parents:
+                parents[ns] = (state, move)
+                frontier.append((ns, depth + 1))
+    return parents, None
+
+
 def find_transitivity_witness(sys, start, target, max_steps):
     """Breadth-first search for a staircase witness from ``start`` to ``target``.
 
@@ -222,31 +249,9 @@ def find_transitivity_witness(sys, start, target, max_steps):
     if start not in tile_index or target not in tile_index:
         raise InputError("both tiles must belong to the system's tile set")
     right_succ, down_succ = _successor_maps(sys)
-    goal_corner = (target.top, target.left)
-
-    start_state = (tile_index[start], False, False)
-    parents = {start_state: None}
-    frontier = deque([(start_state, 0)])
-    goal = None
-    while frontier:
-        state, depth = frontier.popleft()
-        idx, saw_r, saw_d = state
-        tile = sys.tiles[idx]
-        if saw_r and saw_d and (tile.top, tile.left) == goal_corner:
-            goal = state
-            break
-        if depth == max_steps:
-            continue
-        for nxt in right_succ[idx]:
-            ns = (nxt, True, saw_d)
-            if ns not in parents:
-                parents[ns] = (state, RIGHT)
-                frontier.append((ns, depth + 1))
-        for nxt in down_succ[idx]:
-            ns = (nxt, saw_r, True)
-            if ns not in parents:
-                parents[ns] = (state, DOWN)
-                frontier.append((ns, depth + 1))
+    parents, goal = _staircase_bfs(
+        sys, tile_index[start], max_steps, right_succ, down_succ, (target.top, target.left)
+    )
     if goal is None:
         return None
     moves = []
@@ -272,6 +277,11 @@ def find_transitivity_witness(sys, start, target, max_steps):
 def is_transitive_search(sys, max_steps=None):
     """True iff every ordered pair of tiles admits a staircase witness.
 
+    One breadth-first search per start tile, over successor maps built once,
+    covers every target at once: w' has a witness within ``max_steps`` moves
+    exactly when a state with both flags set reached within them has the
+    (top, left) corner of w'.
+
     The default bound of twice the number of corner pairs is enough for the
     search to agree with the matrix criterion: positivity of an irreducible
     0/1 matrix power entry occurs within the dimension, doubled to make room
@@ -279,10 +289,14 @@ def is_transitive_search(sys, max_steps=None):
     """
     if max_steps is None:
         max_steps = 2 * len(sys.omega)
-    for start in sys.tiles:
-        for target in sys.tiles:
-            if find_transitivity_witness(sys, start, target, max_steps) is None:
-                return False
+    if max_steps < 1:
+        raise InputError("max_steps must be positive")
+    right_succ, down_succ = _successor_maps(sys)
+    corner = [(t.top, t.left) for t in sys.tiles]
+    for start_idx in range(len(sys.tiles)):
+        parents, _ = _staircase_bfs(sys, start_idx, max_steps, right_succ, down_succ)
+        if set(corner) - {corner[i] for i, saw_r, saw_d in parents if saw_r and saw_d}:
+            return False
     return True
 
 

@@ -105,6 +105,18 @@ def test_invalid_explicit_kappa_exits_5(tmp_path, capsys):
             2,
             "parse error: explicit kappa entries must be [[alpha,b],[a,beta]] pairs",
         ),
+        (
+            {
+                "A": [[2]],
+                "B": [[1]],
+                "kappa": [
+                    [[[True, 1, 1], [1, 1, 1]], [[1, 1, 1], [1, 1, 1]]],
+                    [[[1, 1, 2], [1, 1, 1]], [[1, 1, 1], [1, 1, 2]]],
+                ],
+            },
+            2,
+            "parse error: edge identifiers must be [source, range, index] triples",
+        ),
         ({"A": [[0]], "B": [[0]]}, 3, "input error: matrix A is not essential"),
         ({"A": [[1, 1], [1, 1]], "B": [[0, 0], [1, 1]]}, 3, "input error: matrix B is not essential"),
     ],

@@ -1,5 +1,7 @@
 import pytest
 
+from cktiles import tiling
+from cktiles.corpus import standard_corpus
 from cktiles.errors import InputError
 from cktiles.graph import is_irreducible
 from cktiles.matrices import IntMatrix
@@ -119,6 +121,62 @@ def test_search_agrees_with_matrix_criterion(small_corpus):
         sys_ = entry.system
         expected = is_transitive_matrix(sys_)
         assert is_transitive_search(sys_, 2 * len(sys_.omega)) == expected, entry.label
+
+
+def _longest_pairwise_witness(sys_, max_steps):
+    """Reference for the pairwise definition: one witness search per ordered pair.
+
+    Breadth-first search returns a shortest witness, so the definition
+    ``all(find_transitivity_witness(sys_, s, t, k) is not None ...)`` holds for
+    a bound k <= max_steps exactly when every pair's shortest witness has at
+    most k moves.  Returns None when some pair has no witness within
+    ``max_steps``.
+    """
+    longest = 0
+    for start in sys_.tiles:
+        for target in sys_.tiles:
+            witness = find_transitivity_witness(sys_, start, target, max_steps)
+            if witness is None:
+                return None
+            longest = max(longest, len(witness.moves))
+    return longest
+
+
+def test_search_matches_pairwise_witness_oracle():
+    corpus = standard_corpus(seed=1302, circulant_pairs=20)
+    assert {"identity(2)", "identity(3)"} <= {entry.label for entry in corpus}
+    outcomes = []
+    for entry in corpus:
+        sys_ = entry.system
+        bounds = (1, 2, 3, 4, 6, 2 * len(sys_.omega))
+        longest = _longest_pairwise_witness(sys_, max(bounds))
+        row = [longest is not None and longest <= bound for bound in bounds]
+        for bound, expected in zip(bounds, row):
+            assert is_transitive_search(sys_, bound) == expected, (entry.label, bound)
+        outcomes.append(row)
+    assert any(not any(row) for row in outcomes)  # never transitive
+    assert any(row[-1] and not row[1] for row in outcomes)  # fails only at small bounds
+    with pytest.raises(InputError):
+        is_transitive_search(exchange_system(2, 3), 0)
+
+
+def test_search_runs_one_bfs_per_start_tile(monkeypatch):
+    starts = []
+    bfs = tiling._staircase_bfs
+
+    def counting_bfs(sys_, start_idx, *args, **kwargs):
+        starts.append(start_idx)
+        return bfs(sys_, start_idx, *args, **kwargs)
+
+    monkeypatch.setattr(tiling, "_staircase_bfs", counting_bfs)
+    sys_ = exchange_system(4, 5)
+    assert len(sys_.tiles) == 20
+    assert is_transitive_search(sys_)
+    assert sorted(starts) == list(range(20))
+    starts.clear()
+    # the first start tile misses the other vertex's corner, so the search stops
+    assert not is_transitive_search(_identity_system())
+    assert starts == [0]
 
 
 def test_block_matrix_irreducibility_matches_matrix_criterion(corpus):
