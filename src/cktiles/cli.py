@@ -17,17 +17,18 @@ import sys
 from .closedform import verify_closed_form
 from .corpus import standard_corpus
 from .errors import CommutationError, InputError, SpecificationError
-from .graph import graph_from_matrix, is_essential, satisfies_condition_I, unreachable_pair
+from .graph import is_essential, satisfies_condition_I, unreachable_pair
 from .ktheory import block_matrix_k0, group_equal, kgroups_of_system
 from .textile import (
     Specification,
     build_system,
-    canonical_specification,
+    canonical_system,
     check_commutation,
+    essential_graphs,
     exchange_specification,
     require_commuting,
 )
-from .tiling import check_diagonal_property, find_transitivity_witness, is_transitive_matrix
+from .tiling import check_diagonal_property, find_transitivity_witness
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -42,17 +43,18 @@ class ParseError(ValueError):
 
 
 def _load_payload(path):
-    if path is None or path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    from_stdin = path is None or path == "-"
+    try:
+        if from_stdin:
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {'standard input' if from_stdin else path}: {exc}") from exc
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or an over-long int
         raise ParseError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError("input must be a JSON object")
@@ -79,20 +81,15 @@ def _parse_system(payload):
     matrix_a = _require_matrix(payload, "A")
     matrix_b = _require_matrix(payload, "B")
     kappa_field = payload.get("kappa", "canonical")
-    ga = graph_from_matrix(matrix_a, "A")
-    gb = graph_from_matrix(matrix_b, "B")
-    for name, matrix in (("A", matrix_a), ("B", matrix_b)):
-        if not is_essential(matrix):
-            raise InputError(f"matrix {name} is not essential: it has a zero row or column")
-    require_commuting(ga, gb)
     if kappa_field == "canonical":
-        kappa = canonical_specification(ga, gb)
-    elif kappa_field == "exchange":
+        return canonical_system(matrix_a, matrix_b)
+    ga, gb = essential_graphs(matrix_a, matrix_b)
+    require_commuting(ga, gb)
+    if kappa_field == "exchange":
         if ga.vertex_count != 1:
             raise InputError('kappa "exchange" requires 1x1 matrices [[N]], [[M]]')
         kappa = exchange_specification(matrix_a[0][0], matrix_b[0][0])
     elif isinstance(kappa_field, list):
-        domain = []
         mapping = {}
         for entry in kappa_field:
             if not (
@@ -105,9 +102,8 @@ def _parse_system(payload):
             image = (_edge_from_id(gb, a_id), _edge_from_id(ga, beta_id))
             if pair in mapping:
                 raise SpecificationError(f"duplicate kappa entry for {pair!r}")
-            domain.append(pair)
             mapping[pair] = image
-        kappa = Specification(domain=tuple(domain), mapping=mapping)
+        kappa = Specification(domain=tuple(mapping), mapping=mapping)
     else:
         raise ParseError('field "kappa" must be "canonical", "exchange" or a list of entries')
     return build_system(ga, gb, kappa)
@@ -134,18 +130,15 @@ def _kgroups_payload(sys_):
 
 
 def _check_payload(sys_):
-    checks = {}
-    a_matrix = sys_.graph_a.to_matrix()
-    b_matrix = sys_.graph_b.to_matrix()
-    checks["a_essential"] = {
-        "ok": is_essential(a_matrix), "detail": "no zero row or column in A"
-    }
-    checks["b_essential"] = {
-        "ok": is_essential(b_matrix), "detail": "no zero row or column in B"
-    }
-    checks["ab_commute"] = {"ok": True, "detail": "AB = BA entrywise"}
-    checks["kappa_valid"] = {
-        "ok": True, "detail": "endpoint-preserving bijection on composable pairs"
+    # Essential commuting A and B and a valid kappa hold by construction:
+    # every system here passed textile.essential_graphs and build_system.
+    checks = {
+        "a_essential": {"ok": True, "detail": "no zero row or column in A"},
+        "b_essential": {"ok": True, "detail": "no zero row or column in B"},
+        "ab_commute": {"ok": True, "detail": "AB = BA entrywise"},
+        "kappa_valid": {
+            "ok": True, "detail": "endpoint-preserving bijection on composable pairs"
+        },
     }
     commute = check_commutation(sys_)
     checks["transition_commute"] = {
@@ -159,11 +152,12 @@ def _check_payload(sys_):
     checks["h_condition_I"] = {
         "ok": condition_i, "detail": "every cycle of the block matrix has an exit"
     }
-    transitive = is_transitive_matrix(sys_)
+    unreachable = unreachable_pair(sys_.a_kappa + sys_.b_kappa)
+    transitive = unreachable is None
     if transitive:
         transitive_detail = "A_k + B_k is irreducible"
     else:
-        p, q = unreachable_pair(sys_.a_kappa + sys_.b_kappa)
+        p, q = unreachable
         transitive_detail = (
             f"no path from corner pair {p} to corner pair {q} in A_k + B_k"
         )
@@ -414,15 +408,16 @@ def build_parser():
         "input", nargs="?", default=None,
         help="path to a system JSON document (default: standard input)",
     )
-    with_input.add_argument(
+    emit = argparse.ArgumentParser(add_help=False)
+    emit.add_argument(
         "--emit-matrices", action="store_true", help="include transition matrices in the report"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common, with_input],
+    p = sub.add_parser("check", parents=[common, with_input, emit],
                        help="build a system and run every structural check")
     p.set_defaults(func=cmd_check)
-    p = sub.add_parser("kgroups", parents=[common, with_input],
+    p = sub.add_parser("kgroups", parents=[common, with_input, emit],
                        help="compute K0 and K1 with the block-matrix cross-check")
     p.set_defaults(func=cmd_kgroups)
     p = sub.add_parser("closedform", parents=[common],

@@ -62,9 +62,6 @@ class IntMatrix:
         i, j = key
         return self.data[i][j]
 
-    def row(self, i):
-        return tuple(self.data[i])
-
     def to_lists(self):
         return [row[:] for row in self.data]
 

@@ -15,10 +15,10 @@ with the 0/1 transition matrices describing horizontal and vertical
 concatenation of tiles.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CommutationError, InputError, SpecificationError
-from .graph import graph_from_matrix
+from .graph import graph_from_matrix, is_essential
 from .matrices import IntMatrix
 
 
@@ -87,15 +87,6 @@ class TextileSystem:
     a_kappa: IntMatrix
     b_kappa: IntMatrix
     h_kappa: IntMatrix
-    _omega_index: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_omega_index", {pair: i for i, pair in enumerate(self.omega)}
-        )
-
-    def omega_index(self, pair):
-        return self._omega_index[pair]
 
     def __repr__(self):
         return (
@@ -110,6 +101,19 @@ def _require_same_vertices(ga, gb):
         raise InputError(
             f"vertex counts differ: {ga.vertex_count} vs {gb.vertex_count}"
         )
+
+
+def essential_graphs(matrix_a, matrix_b):
+    """The graphs of A and B; InputError if either has a zero row or column.
+
+    The one input gate: the CLI and :func:`canonical_system` build graphs here.
+    """
+    ga = graph_from_matrix(matrix_a, "A")
+    gb = graph_from_matrix(matrix_b, "B")
+    for name, matrix in (("A", matrix_a), ("B", matrix_b)):
+        if not is_essential(matrix):
+            raise InputError(f"matrix {name} is not essential: it has a zero row or column")
+    return ga, gb
 
 
 def sigma_ab(ga, gb):
@@ -295,9 +299,8 @@ def check_commutation(sys):
 
 
 def canonical_system(matrix_a, matrix_b):
-    """Build the system for two commuting matrices under the canonical specification."""
-    ga = graph_from_matrix(matrix_a, "A")
-    gb = graph_from_matrix(matrix_b, "B")
+    """Build the system for two essential commuting matrices under the canonical specification."""
+    ga, gb = essential_graphs(matrix_a, matrix_b)
     return build_system(ga, gb, canonical_specification(ga, gb))
 
 

@@ -1,8 +1,13 @@
 import json
+import sys
 
 import pytest
 
+from cktiles import graph, textile
 from cktiles.cli import main
+from cktiles.errors import InputError
+from cktiles.matrices import IntMatrix
+from cktiles.textile import canonical_system
 
 EXCHANGE_2_3 = {"A": [[2]], "B": [[3]], "kappa": "exchange"}
 IDENTITY_2 = {"A": [[1, 0], [0, 1]], "B": [[1, 0], [0, 1]], "kappa": "canonical"}
@@ -10,8 +15,12 @@ NONCOMMUTING = {"A": [[0, 1], [1, 0]], "B": [[1, 1], [0, 1]], "kappa": "canonica
 
 
 def _write(tmp_path, payload, name="system.json"):
+    """Write ``payload`` as JSON, or as it is if it is already bytes."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
 
 
@@ -119,6 +128,17 @@ def test_invalid_explicit_kappa_exits_5(tmp_path, capsys):
         ),
         ({"A": [[0]], "B": [[0]]}, 3, "input error: matrix A is not essential"),
         ({"A": [[1, 1], [1, 1]], "B": [[0, 0], [1, 1]]}, 3, "input error: matrix B is not essential"),
+        pytest.param(
+            b'\xff{"A": [[1]], "B": [[1]]}', 2, "parse error: cannot read", id="not-utf-8"
+        ),
+        pytest.param(
+            b"[" * 200000, 2, "parse error: input is not valid JSON: maximum recursion depth",
+            id="nested-past-recursion-limit",
+        ),
+        pytest.param(
+            b'{"A": [[' + b"1" * 5000 + b"]]}", 2,
+            "parse error: input is not valid JSON: Exceeds the limit", id="integer-of-5000-digits",
+        ),
     ],
 )
 def test_rejected_input_exits_with_one_line(tmp_path, capsys, command, payload, code, message):
@@ -128,6 +148,60 @@ def test_rejected_input_exits_with_one_line(tmp_path, capsys, command, payload, 
     assert err.startswith(message)
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_canonical_system_refuses_what_the_cli_refuses(tmp_path, capsys):
+    a = [[1, 0], [0, 0]]
+    with pytest.raises(InputError) as refused:
+        canonical_system(a, a)
+    assert str(refused.value) == "matrix A is not essential: it has a zero row or column"
+    code, out, err = _run(capsys, ["check", _write(tmp_path, {"A": a, "B": a})])
+    assert (code, out, err) == (3, "", f"input error: {refused.value}\n")
+
+
+_DOCUMENTS = [
+    EXCHANGE_2_3,
+    IDENTITY_2,
+    {"A": [[0, 1], [1, 0]], "B": [[1, 1], [1, 1]]},
+    {"A": [[0, 1, 0], [0, 0, 1], [1, 0, 0]], "B": [[1, 0, 1], [1, 1, 0], [0, 1, 1]]},
+    {
+        "A": [[2]],
+        "B": [[2]],
+        "kappa": [[[[1, 1, i], [1, 1, k]], [[1, 1, i], [1, 1, k]]] for i in (1, 2) for k in (1, 2)],
+    },
+]
+
+
+def _count_calls(monkeypatch, home, name):
+    """Wrap ``home.name`` at every place a cktiles module binds it; return the argument log."""
+    original = getattr(home, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for key, module in list(sys.modules.items()):
+        if key.startswith("cktiles.") and vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "payload", _DOCUMENTS,
+    ids=["exchange-2-3", "identity-2", "swap-ones", "circulant-3", "explicit-2-2"],
+)
+def test_check_computes_each_input_fact_once(tmp_path, capsys, monkeypatch, payload):
+    commutation = _count_calls(monkeypatch, textile, "require_commuting")
+    essentiality = _count_calls(monkeypatch, graph, "is_essential")
+    reachability = _count_calls(monkeypatch, graph, "unreachable_pair")
+    code, _, _ = _run(capsys, ["check", _write(tmp_path, payload)])
+    assert code == 0
+    assert len(commutation) == 1
+    rows = [m.to_lists() if isinstance(m, IntMatrix) else m for (m,) in essentiality]
+    inputs = [payload["A"], payload["B"]]
+    assert sorted(r for r in rows if r in inputs) == sorted(inputs)
+    assert len(reachability) == 1
 
 
 def test_kgroups_exchange_3_3(tmp_path, capsys):
@@ -154,6 +228,13 @@ def test_emit_matrices_flag(tmp_path, capsys):
     ]
     code, out, _ = _run(capsys, ["kgroups", path])
     assert "matrices" not in json.loads(out)
+
+
+def test_emit_matrices_is_refused_by_tiles(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["tiles", _write(tmp_path, EXCHANGE_2_3), "--emit-matrices"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --emit-matrices" in capsys.readouterr().err
 
 
 def test_closedform_command(tmp_path, capsys):
@@ -244,3 +325,7 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     code, out, _ = _run(capsys, ["kgroups"])
     assert code == 0
     assert json.loads(out)["kgroups"]["k0"]["text"] == "Z/8Z"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff{}"), encoding="utf-8"))
+    code, out, err = _run(capsys, ["kgroups"])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: cannot read standard input: ")
