@@ -86,9 +86,7 @@ def _parse_system(payload):
     ga, gb = essential_graphs(matrix_a, matrix_b)
     require_commuting(ga, gb)
     if kappa_field == "exchange":
-        if ga.vertex_count != 1:
-            raise InputError('kappa "exchange" requires 1x1 matrices [[N]], [[M]]')
-        kappa = exchange_specification(matrix_a[0][0], matrix_b[0][0])
+        kappa = exchange_specification(ga, gb)
     elif isinstance(kappa_field, list):
         mapping = {}
         for entry in kappa_field:

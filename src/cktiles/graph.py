@@ -164,16 +164,18 @@ def satisfies_condition_I(matrix):
     A cycle with no exit consists entirely of vertices of out-degree exactly
     one, so it suffices to search for a cycle inside the functional subgraph
     of out-degree-one vertices.  Defined here only for essential {0,1}
-    matrices, matching the Cuntz-Krieger usage.
+    matrices, matching the Cuntz-Krieger usage; essentiality is read off the
+    successor lists, every vertex needing a successor and a predecessor, so
+    a caller that has run :func:`is_essential` pays for no second pass.
     """
     rows = _square_rows(matrix)
     for row in rows:
         for x in row:
             if x not in (0, 1):
                 raise InputError("condition (I) is defined for {0,1} matrices")
-    if not is_essential(rows):
-        raise InputError("condition (I) is defined for essential matrices")
     succ = _support_successors(rows)
+    if not all(succ) or len({j for js in succ for j in js}) < len(rows):
+        raise InputError("condition (I) is defined for essential matrices")
     next_of = {i: js[0] for i, js in enumerate(succ) if len(js) == 1}
     state = {}  # 1 = on current walk, 2 = finished
     for start in next_of:

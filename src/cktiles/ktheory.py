@@ -3,11 +3,22 @@
 The K-groups of the Cuntz-Krieger algebra attached to a built tile system are
     K0 = Z^n / (A_k + B_k - I_n) Z^n     (cokernel)
     K1 = Ker(A_k + B_k - I_n) in Z^n     (always free)
-with n the number of corner pairs.  Both reduce to the Smith normal form of an
-integer matrix, computed here over Python ints with unimodular transforms, and
-cross-checked by an independent oracle built from determinantal divisors
-(d_k = gcd of all k x k minors; successive quotients are the invariant
-factors).
+with n the number of corner pairs.  Both are read off the invariant factors
+of one integer matrix.  :func:`cokernel` finds them in three steps:
+
+(a) every call eliminates the +-1 pivots sparsely, in Markowitz order; each
+    gives the factor 1 and leaves a square core, 19 x 19 for the n = 108
+    matrix of exchange(9, 12);
+(b) when the core's determinant D is nonzero, the core is diagonalised over
+    Z/DZ, so no entry ever exceeds D;
+(c) only a singular core, which means a free summand (K1 nonzero for
+    A_k + B_k - I_n), goes to the exact elimination ``_diagonalize``, whose
+    entries can grow.
+
+:func:`smith_normal_form` runs the exact elimination on the whole matrix and
+returns unimodular transforms verified by multiplication; an independent
+oracle built from determinantal divisors (d_k = gcd of all k x k minors;
+successive quotients are the invariant factors) checks small inputs.
 """
 
 from dataclasses import dataclass
@@ -247,18 +258,170 @@ def invariant_factors_oracle(m):
     return [divisors[k] // divisors[k - 1] for k in range(1, len(divisors))]
 
 
+def _markowitz_pivot(rows, col_rows, live):
+    """The unit entry (i, j) of least Markowitz cost (r - 1)(c - 1), or None.
+
+    r and c count the nonzeros of row i and column j.  Rows are searched by
+    length and columns by count, shortest line first.  An entry outside
+    the lines searched so far has r and c no smaller than the next row
+    length and column count, which bounds its cost from below; the search
+    stops once that bound reaches the best cost found.
+    """
+    by_length = sorted(live, key=lambda i: len(rows[i]))
+    by_count = sorted((j for j, hit in enumerate(col_rows) if hit), key=lambda j: len(col_rows[j]))
+    best = best_cost = None
+    ri = ci = 0
+    while ri < len(by_length) and ci < len(by_count):
+        i, j = by_length[ri], by_count[ci]
+        r, c = len(rows[i]), len(col_rows[j])
+        if best is not None and (r - 1) * (c - 1) >= best_cost:
+            break
+        if r <= c:
+            ri += 1
+            units = [(i, col) for col, x in rows[i].items() if x in (1, -1)]
+        else:
+            ci += 1
+            units = [(row, j) for row in col_rows[j] if rows[row][j] in (1, -1)]
+        for row, col in units:
+            cost = (len(rows[row]) - 1) * (len(col_rows[col]) - 1)
+            if best is None or cost < best_cost:
+                best, best_cost = (row, col), cost
+    return best
+
+
+def _unit_eliminated_core(m):
+    """Step (a): eliminate the +-1 pivots of square ``m`` in Markowitz order.
+
+    Rows are kept sparse, as column -> entry dicts, and every column keeps
+    the set of rows it meets, so counts are read, not rescanned.  Row
+    operations clear the pivot's column; the pivot row then splits off
+    with invariant factor 1, since column operations would clear it without
+    touching any other row.  Returns the dense core: the rows and columns
+    no pivot removed, zero columns included, so the core is square.
+    """
+    n = m.rows
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m.data]
+    col_rows = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows[j].add(i)
+    live = set(range(n))
+    pivot_cols = set()
+    while (pivot := _markowitz_pivot(rows, col_rows, live)) is not None:
+        p, c = pivot
+        live.remove(p)
+        pivot_cols.add(c)
+        pivot_row = rows[p]
+        for j in pivot_row:
+            col_rows[j].discard(p)
+        sign = pivot_row[c]  # a unit is its own inverse
+        for i in list(col_rows[c]):
+            row = rows[i]
+            f = row[c] * sign
+            for j, x in pivot_row.items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    if j not in row:
+                        col_rows[j].add(i)
+                    row[j] = y
+                else:
+                    del row[j]
+                    col_rows[j].discard(i)
+    cols = [j for j in range(n) if j not in pivot_cols]
+    return [[rows[i].get(j, 0) for j in cols] for i in sorted(live)]
+
+
+def _clearing_transform(p, q):
+    """(x, y, u, v) of determinant 1 with x*p + y*q | p and v*q - u*p = 0.
+
+    (1, 0, q/p, 1) when the pivot p divides q, which leaves p in place;
+    otherwise x*p + y*q = g = gcd(p, q) < p, and (u, v) = (q/g, p/g).
+    """
+    if q % p == 0:
+        return 1, 0, q // p, 1
+    g = gcd(p, q)
+    x = pow(p // g, -1, q // g)
+    return x, (g - x * p) // q, q // g, p // g
+
+
+def _diagonal_mod(a, d):
+    """Step (b): a diagonal of the square core ``a`` over Z/dZ.
+
+    Each pivot clears its column with row transforms and its row with
+    column transforms (:func:`_clearing_transform`), until both are clear.
+    The pivot only ever shrinks to a proper divisor, so this ends; entries
+    stay in [0, d) however large the core's determinant.
+    """
+    k = len(a)
+    a = [[x % d for x in row] for row in a]
+    diagonal = []
+    for t in range(k):
+        best = pi = pj = 0
+        for i in range(t, k):
+            for j, x in enumerate(a[i][t:], t):
+                if x and (not best or x < best):
+                    best, pi, pj = x, i, j
+        if not best:
+            return diagonal + [0] * (k - t)
+        a[t], a[pi] = a[pi], a[t]
+        for row in a:
+            row[t], row[pj] = row[pj], row[t]
+        top = a[t]
+        while True:
+            for low in a[t + 1:]:
+                if low[t]:
+                    x, y, u, v = _clearing_transform(top[t], low[t])
+                    for j in range(t, k):
+                        top[j], low[j] = (x * top[j] + y * low[j]) % d, (v * low[j] - u * top[j]) % d
+            for j in range(t + 1, k):
+                if top[j]:
+                    x, y, u, v = _clearing_transform(top[t], top[j])
+                    for row in a[t:]:
+                        row[t], row[j] = (x * row[t] + y * row[j]) % d, (v * row[j] - u * row[t]) % d
+            if not any(low[t] for low in a[t + 1:]):
+                break
+        diagonal.append(top[t])
+    return diagonal
+
+
+def _divisibility_chain(orders):
+    """Invariant factors of the sum of Z/oZ over ``orders`` (all >= 1).
+
+    Pairwise (gcd, lcm) replacement leaves each entry dividing every later
+    one, with no factoring; the orders of 1 fall to the front and are
+    dropped.
+    """
+    factors = [o for o in orders if o > 1]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            g = gcd(a, b)
+            factors[i], factors[j] = g, a // g * b
+    return tuple(f for f in factors if f > 1)
+
+
 def cokernel(m):
     """The quotient Z^n / M Z^n as an abelian group in canonical form.
 
-    Only the diagonal of the Smith form is computed; no transforms are kept.
+    Three steps, with no transforms kept.  (a) The +-1 pivots are
+    eliminated sparsely, each giving the invariant factor 1; what is left
+    is a square core.  (b) If D = |det core| is nonzero, adj(core) * core
+    = det * I puts D Z^k inside core Z^k, so the core is diagonalised over
+    Z/DZ, each diagonal entry s contributes Z/gcd(s, D)Z, and pairwise
+    gcd/lcm restores d1 | d2 | ....  (c) Only a singular core goes to the
+    exact :func:`_diagonalize`.
     """
     if not m.is_square():
         raise InputError("cokernel requires a square matrix")
-    diagonal, _, _ = _diagonalize(m.to_lists(), m.rows, m.cols, track=False)
-    rank = sum(1 for d in diagonal if d)
-    return AbelianGroup(
-        free_rank=m.rows - rank, torsion=tuple(d for d in diagonal if d > 1)
-    )
+    core = _unit_eliminated_core(m)
+    d = abs(IntMatrix(core).det())
+    if d:
+        orders = [gcd(s, d) for s in _diagonal_mod(core, d)]
+        return AbelianGroup(free_rank=0, torsion=_divisibility_chain(orders))
+    size = len(core)
+    diagonal, _, _ = _diagonalize(core, size, size, track=False)
+    rank = sum(1 for x in diagonal if x)
+    return AbelianGroup(free_rank=size - rank, torsion=tuple(x for x in diagonal if x > 1))
 
 
 def kernel_rank(m):

@@ -149,21 +149,23 @@ def require_commuting(ga, gb):
                 raise CommutationError(i + 1, j + 1, ab[i, j], ba[i, j])
 
 
-def canonical_specification(ga, gb):
+def canonical_specification(ga, gb, pairs=None):
     """The deterministic specification obtained by sorted blockwise matching.
 
     For each ordered vertex pair (i, j), the lexicographically sorted list of
     two-step paths alpha.b from i to j is matched position by position with
     the sorted list of paths a.beta from i to j.  Both lists have length
     (AB)(i, j) = (BA)(i, j), so commutation is exactly what makes this work.
+    ``pairs`` is (sigma_ab(ga, gb), sigma_ba(ga, gb)) when already enumerated.
     """
     require_commuting(ga, gb)
-    domain = tuple(sigma_ab(ga, gb))
+    sab, sba = pairs or (sigma_ab(ga, gb), sigma_ba(ga, gb))
+    domain = tuple(sab)
     blocks_ab = {}
     for alpha, b in domain:
         blocks_ab.setdefault((alpha.source, b.range), []).append((alpha, b))
     blocks_ba = {}
-    for a, beta in sigma_ba(ga, gb):
+    for a, beta in sba:
         blocks_ba.setdefault((a.source, beta.range), []).append((a, beta))
     mapping = {}
     for key, ab_list in blocks_ab.items():
@@ -173,28 +175,28 @@ def canonical_specification(ga, gb):
     return Specification(domain=domain, mapping=mapping)
 
 
-def exchange_specification(n, m):
-    """The exchange specification on single-vertex graphs [n] and [m].
+def exchange_specification(ga, gb):
+    """The exchange specification on the single-vertex graphs of [n] and [m].
 
     Every domain pair is simply swapped: kappa(alpha, a) = (a, alpha).
     """
-    if n <= 1 or m <= 1:
+    if ga.vertex_count != 1 or gb.vertex_count != 1:
+        raise InputError('kappa "exchange" requires 1x1 matrices [[N]], [[M]]')
+    if len(ga.edges) <= 1 or len(gb.edges) <= 1:
         raise InputError("exchange specification requires n > 1 and m > 1")
-    ga = graph_from_matrix([[n]], "A")
-    gb = graph_from_matrix([[m]], "B")
     domain = tuple(sigma_ab(ga, gb))
     mapping = {(alpha, a): (a, alpha) for alpha, a in domain}
     return Specification(domain=domain, mapping=mapping)
 
 
-def validate_specification(kappa, ga, gb):
+def validate_specification(kappa, ga, gb, pairs=None):
     """Check bijectivity and the four endpoint constraints of a specification.
 
     Returns a ValidationReport naming the first violated constraint and the
-    offending domain pair, rather than raising.
+    offending domain pair, rather than raising.  ``pairs`` is
+    (sigma_ab(ga, gb), sigma_ba(ga, gb)) when already enumerated.
     """
-    sab = sigma_ab(ga, gb)
-    sba = sigma_ba(ga, gb)
+    sab, sba = pairs or (sigma_ab(ga, gb), sigma_ba(ga, gb))
     if set(kappa.domain) != set(sab) or len(kappa.domain) != len(sab):
         return ValidationReport(
             ok=False,
@@ -244,16 +246,17 @@ def validate_specification(kappa, ga, gb):
     return ValidationReport(ok=True)
 
 
-def build_system(ga, gb, kappa):
+def build_system(ga, gb, kappa, pairs=None):
     """Assemble tiles, corner pairs and transition matrices from a specification.
 
     The horizontal matrix has entry 1 at ((alpha, a), (delta, b)) iff
     kappa(alpha, b) = (a, beta) for some beta; the vertical matrix has entry 1
     at ((alpha, a), (beta, d)) iff kappa(alpha, b) = (a, beta) for some b.
     Both formulas are implemented literally; membership of the column pair in
-    the corner set already forces composability.
+    the corner set already forces composability.  ``pairs`` is passed on to
+    :func:`validate_specification`.
     """
-    report = validate_specification(kappa, ga, gb)
+    report = validate_specification(kappa, ga, gb, pairs)
     if not report.ok:
         raise SpecificationError(f"{report.failure}: {report.detail}")
     tiles = tuple(
@@ -301,12 +304,12 @@ def check_commutation(sys):
 def canonical_system(matrix_a, matrix_b):
     """Build the system for two essential commuting matrices under the canonical specification."""
     ga, gb = essential_graphs(matrix_a, matrix_b)
-    return build_system(ga, gb, canonical_specification(ga, gb))
+    pairs = (sigma_ab(ga, gb), sigma_ba(ga, gb))
+    return build_system(ga, gb, canonical_specification(ga, gb, pairs), pairs)
 
 
 def exchange_system(n, m):
     """Build the exchange system for the single-vertex graphs [n] and [m]."""
-    kappa = exchange_specification(n, m)
     ga = graph_from_matrix([[n]], "A")
     gb = graph_from_matrix([[m]], "B")
-    return build_system(ga, gb, kappa)
+    return build_system(ga, gb, exchange_specification(ga, gb))

@@ -195,13 +195,26 @@ def test_check_computes_each_input_fact_once(tmp_path, capsys, monkeypatch, payl
     commutation = _count_calls(monkeypatch, textile, "require_commuting")
     essentiality = _count_calls(monkeypatch, graph, "is_essential")
     reachability = _count_calls(monkeypatch, graph, "unreachable_pair")
+    graphs = _count_calls(monkeypatch, graph, "graph_from_matrix")
     code, _, _ = _run(capsys, ["check", _write(tmp_path, payload)])
     assert code == 0
     assert len(commutation) == 1
     rows = [m.to_lists() if isinstance(m, IntMatrix) else m for (m,) in essentiality]
     inputs = [payload["A"], payload["B"]]
     assert sorted(r for r in rows if r in inputs) == sorted(inputs)
+    # the third and last is the block matrix H_k, which condition (I) reuses
+    assert len(rows) == 3 and rows[2] not in inputs
     assert len(reachability) == 1
+    assert len(graphs) == 2
+
+
+def test_kgroups_enumerates_composable_pairs_once(tmp_path, capsys, monkeypatch):
+    pairs_ab = _count_calls(monkeypatch, textile, "sigma_ab")
+    pairs_ba = _count_calls(monkeypatch, textile, "sigma_ba")
+    payload = {"A": [[0, 1], [1, 0]], "B": [[1, 1], [1, 1]], "kappa": "canonical"}
+    code, _, _ = _run(capsys, ["kgroups", _write(tmp_path, payload)])
+    assert code == 0
+    assert (len(pairs_ab), len(pairs_ba)) == (1, 1)
 
 
 def test_kgroups_exchange_3_3(tmp_path, capsys):

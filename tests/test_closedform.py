@@ -182,6 +182,15 @@ def test_verify_closed_form_2_3():
     assert comparison.computed.k0.torsion == (8,)
 
 
+@pytest.mark.parametrize(
+    "n, m", [(9, m) for m in range(9, 15)] + [(11, 12), (12, 14), (20, 20)]
+)
+def test_verify_closed_form_past_the_entry_explosion(n, m):
+    # the pairs around the entry explosion of the exact Smith elimination
+    # on whole matrices, up to (20, 20) with n = 400 corner pairs
+    assert verify_closed_form(n, m).agree
+
+
 def test_verify_closed_form_2_20():
     comparison = verify_closed_form(2, 20)
     assert comparison.agree

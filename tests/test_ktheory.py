@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cktiles import ktheory
+from cktiles.closedform import closed_form_kgroups
+from cktiles.corpus import standard_corpus
 from cktiles.errors import InputError, OracleScaleError
 from cktiles.ktheory import (
     AbelianGroup,
@@ -261,3 +264,134 @@ def test_torsion_orders_multiply_to_diag_product():
         diag = smith_normal_form(m).diagonal
         nonzero = [d for d in diag if d]
         assert prod(nonzero) == prod(invariant_factors_oracle(m))
+
+
+# --- the three-step cokernel against independent routes ------------------------
+
+
+def _exact_cokernel(m):
+    """The cokernel from the exact Smith elimination alone."""
+    diagonal, _, _ = ktheory._diagonalize(m.to_lists(), m.rows, m.cols, track=False)
+    return AbelianGroup(
+        free_rank=m.rows - sum(1 for d in diagonal if d),
+        torsion=tuple(d for d in diagonal if d > 1),
+    )
+
+
+def _k0_matrices(systems):
+    """Both K0 presentations of each system: A_k + B_k - I and I - H_k^T."""
+    for sys_ in systems:
+        n = len(sys_.omega)
+        yield sys_.a_kappa + sys_.b_kappa - IntMatrix.identity(n)
+        yield IntMatrix.identity(2 * n) - sys_.h_kappa.transpose()
+
+
+def test_cokernel_matches_exact_diagonalisation_on_k0_matrices():
+    systems = [exchange_system(n, m) for n in range(2, 9) for m in range(n, 9)]
+    systems += [e.system for e in standard_corpus(seed=1302, circulant_pairs=40)]
+    matrices = list(_k0_matrices(systems))
+    assert len(matrices) == 186
+    for m in matrices:
+        assert cokernel(m) == _exact_cokernel(m), m.shape
+
+
+def _sympy_cokernel(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    factors = [abs(int(f)) for f in invariant_factors(sympy.Matrix(m.data), domain=sympy.ZZ)]
+    zeros = factors.count(0) + m.rows - len(factors)
+    return AbelianGroup(free_rank=zeros, torsion=tuple(sorted(f for f in factors if f > 1)))
+
+
+def test_cokernel_matches_sympy_past_the_oracle_limit(corpus):
+    # the determinantal-divisor oracle stops at 8 x 8; sympy's Smith form
+    # reaches n = 42 (exchange(6, 7)) in hundredths of a second
+    matrices = [
+        next(_k0_matrices([exchange_system(n, m)])) for n in range(3, 7) for m in range(n, 8)
+    ]
+    matrices += [next(_k0_matrices([e.system])) for e in corpus if len(e.system.omega) > 8]
+    assert max(m.rows for m in matrices) == 42
+    for m in matrices:
+        assert cokernel(m) == _sympy_cokernel(m), m.shape
+
+
+# A planted cokernel: diag(scale * d) moved by sparse elementary operations.
+# A scale above 1 leaves no unit entry at all; a zero d plants a free summand,
+# and when few operations touch its line, a zero row or column.
+_MOVES = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 9), st.integers(0, 9), st.integers(-3, 3)),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from([0, 1, 1, 1, 2, 3, 4, 6, 9, 12, 25]), min_size=1, max_size=10),
+    _MOVES,
+    st.sampled_from([1, 1, 2, 3]),
+)
+def test_cokernel_recovers_planted_torsion(diagonal, moves, scale):
+    k = len(diagonal)
+    a = [[scale * d if i == j else 0 for j in range(k)] for i, d in enumerate(diagonal)]
+    for on_rows, i, j, c in moves:
+        i, j = i % k, j % k
+        if on_rows and c == 0:
+            a[i], a[j] = a[j], a[i]
+        elif on_rows and i != j:
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        elif c == 0:
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+        elif i != j:
+            for row in a:
+                row[i] += c * row[j]
+    m = IntMatrix(a)
+    expected = canonicalize([scale * d for d in diagonal])
+    assert cokernel(m) == expected
+    assert _exact_cokernel(m) == expected
+
+
+def test_cokernel_core_keeps_zero_columns():
+    # a core built from the nonzero columns only is 1 x 0 here, not square
+    assert ktheory._unit_eliminated_core(IntMatrix([[0]])) == [[0]]
+    assert cokernel(IntMatrix([[0]])) == AbelianGroup(free_rank=1)
+    assert ktheory._unit_eliminated_core(IntMatrix([[0, 1], [0, 0]])) == [[0]]
+    assert cokernel(IntMatrix([[0, 1], [0, 0]])) == AbelianGroup(free_rank=1)
+
+
+def test_modular_diagonal_keeps_a_pivot_that_divides():
+    # the core of exchange(8, 8) has a pivot 7 beside entries 7; an extended
+    # gcd that returns (0, 1) for (7, 7) swaps the lines without shrinking
+    # the pivot, and clearing the row and column never ends
+    assert ktheory._clearing_transform(7, 7) == (1, 0, 1, 1)
+    assert ktheory._diagonal_mod([[7, 7], [7, 14]], 49) == [7, 7]
+    sys_ = exchange_system(8, 8)
+    expected = closed_form_kgroups(8, 8).canonical
+    assert kgroups_of_system(sys_).k0 == expected == block_matrix_k0(sys_)
+
+
+def test_divisibility_chain_without_factoring():
+    assert ktheory._divisibility_chain([]) == ()
+    assert ktheory._divisibility_chain([1, 6, 4, 1]) == (2, 12)
+    assert ktheory._divisibility_chain([2, 3]) == (6,)
+    assert ktheory._divisibility_chain([8, 2, 4]) == (2, 4, 8)
+
+
+@pytest.mark.parametrize("n, m", [(9, 12), (11, 12)])
+def test_nonsingular_cores_never_reach_the_exact_path(monkeypatch, n, m):
+    # entry growth in the exact elimination depends on pivot order, not on
+    # size: on whole matrices it was about 100 times slower at exchange(9, 12),
+    # n = 108, than at exchange(11, 12), n = 132, so no nonsingular core is
+    # left to it
+    calls = []
+    exact = ktheory._diagonalize
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(ktheory, "_diagonalize", counted)
+    groups = kgroups_of_system(exchange_system(n, m))
+    assert calls == []
+    assert groups.k0 == closed_form_kgroups(n, m).canonical

@@ -97,7 +97,7 @@ def test_canonical_specification_rejects_noncommuting():
 
 
 def test_exchange_specification_swaps_every_pair():
-    kappa = exchange_specification(2, 3)
+    kappa = exchange_specification(*_graphs([[2]], [[3]]))
     assert len(kappa.domain) == 6
     for (alpha, a), (image_a, image_beta) in kappa.items():
         assert image_a == a and image_beta == alpha
@@ -105,9 +105,9 @@ def test_exchange_specification_swaps_every_pair():
 
 def test_exchange_specification_rejects_small():
     with pytest.raises(InputError):
-        exchange_specification(1, 3)
+        exchange_specification(*_graphs([[1]], [[3]]))
     with pytest.raises(InputError):
-        exchange_specification(2, 1)
+        exchange_specification(*_graphs([[2]], [[1]]))
 
 
 def test_exchange_system_omega_is_full_product():
