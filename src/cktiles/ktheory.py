@@ -4,16 +4,15 @@ The K-groups of the Cuntz-Krieger algebra attached to a built tile system are
     K0 = Z^n / (A_k + B_k - I_n) Z^n     (cokernel)
     K1 = Ker(A_k + B_k - I_n) in Z^n     (always free)
 with n the number of corner pairs.  Both are read off the invariant factors
-of one integer matrix.  :func:`cokernel` finds them in three steps:
+of one integer matrix.  :func:`cokernel` finds them in two steps:
 
-(a) every call eliminates the +-1 pivots sparsely, in Markowitz order; each
-    gives the factor 1 and leaves a square core, 19 x 19 for the n = 108
-    matrix of exchange(9, 12);
-(b) when the core's determinant D is nonzero, the core is diagonalised over
-    Z/DZ, so no entry ever exceeds D;
-(c) only a singular core, which means a free summand (K1 nonzero for
-    A_k + B_k - I_n), goes to the exact elimination ``_diagonalize``, whose
-    entries can grow.
+(a) the +-1 pivots are eliminated sparsely, in Markowitz order; each gives
+    the factor 1 and leaves a square core, 19 x 19 for the n = 108 matrix
+    of exchange(9, 12);
+(b) one fraction-free elimination gives the core's rank r and a nonzero
+    r x r minor D, and the core is diagonalised over Z/DZ, so no entry
+    ever exceeds D, whether the core is singular (K1 nonzero for
+    A_k + B_k - I_n) or not.
 
 :func:`smith_normal_form` runs the exact elimination on the whole matrix and
 returns unimodular transforms verified by multiplication; an independent
@@ -103,72 +102,46 @@ class KGroups:
             raise InternalCheckError("K1 of a Cuntz-Krieger algebra is torsion-free")
 
 
-def _diagonalize(a, rows, cols, track):
+def _diagonalize(a, rows, cols):
     """Smith diagonalization of row lists ``a`` in place.
 
     Pivots are chosen with smallest nonzero absolute value to slow entry
-    growth.  Returns (diagonal entries, U rows, V rows); the transforms are
-    None unless ``track``.
+    growth.  Returns (diagonal entries, U rows, V rows).
     """
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)] if track else None
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)] if track else None
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        if track:
-            u[i], u[j] = u[j], u[i]
+        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for row in a:
+        for row in a + v:
             row[i], row[j] = row[j], row[i]
-        if track:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, q):
-        # row[dst] += q * row[src]
-        row_d, row_s = a[dst], a[src]
-        for k in range(cols):
-            row_d[k] += q * row_s[k]
-        if track:
-            row_d, row_s = u[dst], u[src]
-            for k in range(rows):
-                row_d[k] += q * row_s[k]
+        # row[dst] += q * row[src], in a and in U
+        for m in (a, u):
+            m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
 
     def add_col(dst, src, q):
-        for row in a:
+        for row in a + v:
             row[dst] += q * row[src]
-        if track:
-            for row in v:
-                row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if track:
-            u[i] = [-x for x in u[i]]
 
     size = min(rows, cols)
     for t in range(size):
         # smallest nonzero |entry| in the trailing submatrix becomes the pivot
-        best = 0
-        pi = pj = -1
-        for i in range(t, rows):
-            row = a[i]
-            for j in range(t, cols):
-                x = row[j]
-                if x:
-                    ax = x if x > 0 else -x
-                    if pi < 0 or ax < best:
-                        best = ax
-                        pi, pj = i, j
-        if pi < 0:
+        entries = [(abs(x), i, j) for i in range(t, rows) for j, x in enumerate(a[i][t:], t) if x]
+        if not entries:
             break
+        _, pi, pj = min(entries)
         if pi != t:
             swap_rows(t, pi)
         if pj != t:
             swap_cols(t, pj)
         if a[t][t] < 0:
-            negate_row(t)
+            for m in (a, u):
+                m[t] = [-x for x in m[t]]
         while True:
             # Euclidean clearing of column t; remainders stay in [0, pivot)
             for i in range(t + 1, rows):
@@ -186,17 +159,11 @@ def _diagonalize(a, rows, cols, track):
                         add_col(j, t, -q)
                     if a[t][j]:
                         swap_cols(j, t)
-            if any(a[i][t] for i in range(t + 1, rows)):
+            if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1:]):
                 continue
-            if any(a[t][j] for j in range(t + 1, cols)):
-                continue
-            pivot = a[t][t]
-            offender = None
-            for i in range(t + 1, rows):
-                row = a[i]
-                if any(row[j] % pivot for j in range(t + 1, cols)):
-                    offender = i
-                    break
+            offender = next(
+                (i for i in range(t + 1, rows) if any(x % a[t][t] for x in a[i][t + 1:])), None
+            )
             if offender is None:
                 break
             # fold the nondivisible row into row t; re-clearing shrinks the
@@ -213,9 +180,8 @@ def smith_normal_form(m):
     is a nonnegative divisibility chain followed by zeros.
     """
     work = m.to_lists()
-    diagonal, u_rows, v_rows = _diagonalize(work, m.rows, m.cols, track=True)
-    u = IntMatrix(u_rows) if m.rows else IntMatrix.identity(0)
-    v = IntMatrix(v_rows) if m.cols else IntMatrix.identity(0)
+    diagonal, u_rows, v_rows = _diagonalize(work, m.rows, m.cols)
+    u, v = IntMatrix(u_rows), IntMatrix(v_rows)
     s = IntMatrix.zeros(m.rows, m.cols)
     for i, d in enumerate(diagonal):
         s.data[i][i] = d
@@ -350,7 +316,7 @@ def _diagonal_mod(a, d):
     Each pivot clears its column with row transforms and its row with
     column transforms (:func:`_clearing_transform`), until both are clear.
     The pivot only ever shrinks to a proper divisor, so this ends; entries
-    stay in [0, d) however large the core's determinant.
+    stay in [0, d).
     """
     k = len(a)
     a = [[x % d for x in row] for row in a]
@@ -403,25 +369,25 @@ def _divisibility_chain(orders):
 def cokernel(m):
     """The quotient Z^n / M Z^n as an abelian group in canonical form.
 
-    Three steps, with no transforms kept.  (a) The +-1 pivots are
-    eliminated sparsely, each giving the invariant factor 1; what is left
-    is a square core.  (b) If D = |det core| is nonzero, adj(core) * core
-    = det * I puts D Z^k inside core Z^k, so the core is diagonalised over
-    Z/DZ, each diagonal entry s contributes Z/gcd(s, D)Z, and pairwise
-    gcd/lcm restores d1 | d2 | ....  (c) Only a singular core goes to the
-    exact :func:`_diagonalize`.
+    Two steps, with no transforms kept.  (a) The +-1 pivots are eliminated
+    sparsely, each giving the invariant factor 1; what is left is a square
+    k x k core of rank r.  (b) Every nonzero invariant factor of the core
+    divides its r-th determinantal divisor, and so the nonzero r x r minor
+    D that :meth:`IntMatrix.rank_minor` finds.  The core is diagonalised
+    over Z/DZ and each diagonal entry s gives Z/gcd(s, D)Z: the nonzero
+    factors come back whole and each of the k - r zero factors comes back
+    as D, so pairwise gcd/lcm puts those k - r copies of D at the top of
+    the chain d1 | d2 | ..., where they are dropped for k - r copies of Z
+    (when D = 1 the chain is empty and there is nothing to drop).
     """
     if not m.is_square():
         raise InputError("cokernel requires a square matrix")
     core = _unit_eliminated_core(m)
-    d = abs(IntMatrix(core).det())
-    if d:
-        orders = [gcd(s, d) for s in _diagonal_mod(core, d)]
-        return AbelianGroup(free_rank=0, torsion=_divisibility_chain(orders))
-    size = len(core)
-    diagonal, _, _ = _diagonalize(core, size, size, track=False)
-    rank = sum(1 for x in diagonal if x)
-    return AbelianGroup(free_rank=size - rank, torsion=tuple(x for x in diagonal if x > 1))
+    rank, minor = IntMatrix(core).rank_minor()
+    d = abs(minor)
+    chain = _divisibility_chain([gcd(s, d) for s in _diagonal_mod(core, d)])
+    free_rank = len(core) - rank
+    return AbelianGroup(free_rank=free_rank, torsion=chain[: len(chain) - free_rank])
 
 
 def kernel_rank(m):

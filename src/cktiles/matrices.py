@@ -104,14 +104,21 @@ class IntMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
+        """The one matrix product; it multiplies only pairs of nonzero entries."""
         if not isinstance(other, IntMatrix):
             raise InputError("expected an IntMatrix operand")
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.shape} by {other.shape}")
-        cols = list(zip(*other.data)) if other.data else []
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.data]
-        )
+        product = []
+        for row in self.data:
+            out = [0] * other.cols
+            for a, other_row in zip(row, other.data):
+                if a:
+                    for j, y in enumerate(other_row):
+                        if y:
+                            out[j] += a * y
+            product.append(out)
+        return IntMatrix(product)
 
     def transpose(self):
         return IntMatrix([list(col) for col in zip(*self.data)]) if self.rows else IntMatrix([])
@@ -130,26 +137,39 @@ class IntMatrix:
                 data.append([a * b for a in arow for b in brow])
         return IntMatrix(data)
 
+    def rank_minor(self):
+        """(r, minor): the rank r and a nonzero r x r minor, 1 when r = 0.
+
+        One fraction-free (Bareiss) elimination with full pivoting; the sign
+        of the swaps is kept, so a square matrix of full rank gets its det.
+        """
+        m = self.to_lists()
+        sign = prev = 1
+        rows, cols = self.rows, self.cols
+        for k in range(min(rows, cols)):
+            found = next(((i, j) for j in range(k, cols) for i in range(k, rows) if m[i][j]), None)
+            if found is None:
+                return k, sign * prev
+            i, j = found
+            if i != k:
+                m[k], m[i] = m[i], m[k]
+                sign = -sign
+            if j != k:
+                for row in m:
+                    row[k], row[j] = row[j], row[k]
+                sign = -sign
+            top = m[k]
+            pivot = top[k]
+            for row in m[k + 1:]:
+                f = row[k]
+                for j in range(k + 1, cols):
+                    row[j] = (row[j] * pivot - f * top[j]) // prev
+            prev = pivot
+        return min(rows, cols), sign * prev
+
     def det(self):
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant: the full-rank minor of :meth:`rank_minor`, else 0."""
         if not self.is_square():
             raise InputError("determinant requires a square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_lists()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if pivot_row is None:
-                    return 0
-                m[k], m[pivot_row] = m[pivot_row], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        rank, minor = self.rank_minor()
+        return minor if rank == self.rows else 0

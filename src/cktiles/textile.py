@@ -15,6 +15,7 @@ with the 0/1 transition matrices describing horizontal and vertical
 concatenation of tiles.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CommutationError, InputError, SpecificationError
@@ -149,23 +150,21 @@ def require_commuting(ga, gb):
                 raise CommutationError(i + 1, j + 1, ab[i, j], ba[i, j])
 
 
-def canonical_specification(ga, gb, pairs=None):
+def canonical_specification(ga, gb):
     """The deterministic specification obtained by sorted blockwise matching.
 
     For each ordered vertex pair (i, j), the lexicographically sorted list of
     two-step paths alpha.b from i to j is matched position by position with
     the sorted list of paths a.beta from i to j.  Both lists have length
     (AB)(i, j) = (BA)(i, j), so commutation is exactly what makes this work.
-    ``pairs`` is (sigma_ab(ga, gb), sigma_ba(ga, gb)) when already enumerated.
     """
     require_commuting(ga, gb)
-    sab, sba = pairs or (sigma_ab(ga, gb), sigma_ba(ga, gb))
-    domain = tuple(sab)
+    domain = tuple(sigma_ab(ga, gb))
     blocks_ab = {}
     for alpha, b in domain:
         blocks_ab.setdefault((alpha.source, b.range), []).append((alpha, b))
     blocks_ba = {}
-    for a, beta in sba:
+    for a, beta in sigma_ba(ga, gb):
         blocks_ba.setdefault((a.source, beta.range), []).append((a, beta))
     mapping = {}
     for key, ab_list in blocks_ab.items():
@@ -189,22 +188,41 @@ def exchange_specification(ga, gb):
     return Specification(domain=domain, mapping=mapping)
 
 
-def validate_specification(kappa, ga, gb, pairs=None):
+def _composable(pair, first, second):
+    """True iff ``pair`` is (e, f) with e in ``first``, f in ``second`` and r(e) = s(f)."""
+    return (
+        isinstance(pair, tuple) and len(pair) == 2
+        and pair[0] in first and pair[1] in second and pair[0].range == pair[1].source
+    )
+
+
+def _composable_count(first, second):
+    """The number of composable (e, f) with e in graph ``first``, f in ``second``."""
+    into = Counter(e.range for e in first.edges)
+    return sum(into[f.source] for f in second.edges)
+
+
+def validate_specification(kappa, ga, gb):
     """Check bijectivity and the four endpoint constraints of a specification.
 
     Returns a ValidationReport naming the first violated constraint and the
-    offending domain pair, rather than raising.  ``pairs`` is
-    (sigma_ab(ga, gb), sigma_ba(ga, gb)) when already enumerated.
+    offending domain pair, rather than raising.  Each domain pair and each
+    image is checked where it stands; |Sigma_AB| and |Sigma_BA| are counted
+    from vertex degrees, so neither is enumerated.
     """
-    sab, sba = pairs or (sigma_ab(ga, gb), sigma_ba(ga, gb))
-    if set(kappa.domain) != set(sab) or len(kappa.domain) != len(sab):
+    _require_same_vertices(ga, gb)
+    edges_a, edges_b = set(ga.edges), set(gb.edges)
+    domain = set(kappa.domain)
+    expected = _composable_count(ga, gb)
+    if len(domain) != len(kappa.domain) or len(domain) != expected or not all(
+        _composable(pair, edges_a, edges_b) for pair in domain
+    ):
         return ValidationReport(
             ok=False,
             failure="domain-mismatch",
-            detail=f"domain has {len(set(kappa.domain))} pairs, expected all "
-            f"{len(sab)} composable (alpha, b) pairs",
+            detail=f"domain has {len(domain)} pairs, expected all "
+            f"{expected} composable (alpha, b) pairs",
         )
-    sba_set = set(sba)
     seen_images = {}
     for pair in kappa.domain:
         alpha, b = pair
@@ -214,8 +232,7 @@ def validate_specification(kappa, ga, gb, pairs=None):
                 ok=False, failure="domain-mismatch",
                 detail="pair missing from mapping", pair=pair,
             )
-        a, beta = image
-        if image not in sba_set:
+        if not _composable(image, edges_b, edges_a):
             return ValidationReport(
                 ok=False, failure="endpoint-r(a)=s(beta)",
                 detail=f"image {image!r} is not a composable (a, beta) pair",
@@ -228,6 +245,7 @@ def validate_specification(kappa, ga, gb, pairs=None):
                 pair=pair,
             )
         seen_images[image] = pair
+        a, beta = image
         if alpha.source != a.source:
             return ValidationReport(
                 ok=False, failure="endpoint-s(alpha)=s(a)",
@@ -238,25 +256,26 @@ def validate_specification(kappa, ga, gb, pairs=None):
                 ok=False, failure="endpoint-r(b)=r(beta)",
                 detail=f"r(b)={b.range} but r(beta)={beta.range}", pair=pair,
             )
-    if len(seen_images) != len(sba):
+    images = _composable_count(gb, ga)
+    if len(seen_images) != images:
         return ValidationReport(
             ok=False, failure="not-surjective",
-            detail=f"image covers {len(seen_images)} of {len(sba)} (a, beta) pairs",
+            detail=f"image covers {len(seen_images)} of {images} (a, beta) pairs",
         )
     return ValidationReport(ok=True)
 
 
-def build_system(ga, gb, kappa, pairs=None):
+def build_system(ga, gb, kappa):
     """Assemble tiles, corner pairs and transition matrices from a specification.
 
     The horizontal matrix has entry 1 at ((alpha, a), (delta, b)) iff
     kappa(alpha, b) = (a, beta) for some beta; the vertical matrix has entry 1
     at ((alpha, a), (beta, d)) iff kappa(alpha, b) = (a, beta) for some b.
-    Both formulas are implemented literally; membership of the column pair in
-    the corner set already forces composability.  ``pairs`` is passed on to
-    :func:`validate_specification`.
+    So tile (alpha, b, a, beta) puts a 1 in row (alpha, a) of A_k at every
+    corner pair whose left edge is b, and of B_k at every corner pair whose
+    top edge is beta; Omega is indexed by both edges once.
     """
-    report = validate_specification(kappa, ga, gb, pairs)
+    report = validate_specification(kappa, ga, gb)
     if not report.ok:
         raise SpecificationError(f"{report.failure}: {report.detail}")
     tiles = tuple(
@@ -268,31 +287,23 @@ def build_system(ga, gb, kappa, pairs=None):
         sorted(corner_set, key=lambda p: (ga.position(p[0]), gb.position(p[1])))
     )
     n = len(omega)
-    left_of = {}  # (alpha, b) -> a
-    glues = set()  # (alpha, a, beta) triples witnessed by some tile
-    for (alpha, b), (a, beta) in kappa.mapping.items():
-        left_of[(alpha, b)] = a
-        glues.add((alpha, a, beta))
+    row_of = {corner: i for i, corner in enumerate(omega)}
+    by_top, by_left = {}, {}
+    for j, (top, left) in enumerate(omega):
+        by_top.setdefault(top, []).append(j)
+        by_left.setdefault(left, []).append(j)
     a_rows = [[0] * n for _ in range(n)]
     b_rows = [[0] * n for _ in range(n)]
-    for i, (alpha, a) in enumerate(omega):
-        for j, (delta, b) in enumerate(omega):
-            if left_of.get((alpha, b)) == a:
-                a_rows[i][j] = 1
-            if (alpha, a, delta) in glues:
-                b_rows[i][j] = 1
-    a_kappa = IntMatrix(a_rows)
-    b_kappa = IntMatrix(b_rows)
-    h_kappa = IntMatrix.block2(a_kappa, a_kappa, b_kappa, b_kappa)
+    for t in tiles:
+        i = row_of[(t.top, t.left)]
+        for j in by_left.get(t.right, ()):
+            a_rows[i][j] = 1
+        for j in by_top.get(t.bottom, ()):
+            b_rows[i][j] = 1
+    a_kappa, b_kappa = IntMatrix(a_rows), IntMatrix(b_rows)
     return TextileSystem(
-        graph_a=ga,
-        graph_b=gb,
-        kappa=kappa,
-        tiles=tiles,
-        omega=omega,
-        a_kappa=a_kappa,
-        b_kappa=b_kappa,
-        h_kappa=h_kappa,
+        graph_a=ga, graph_b=gb, kappa=kappa, tiles=tiles, omega=omega, a_kappa=a_kappa,
+        b_kappa=b_kappa, h_kappa=IntMatrix.block2(a_kappa, a_kappa, b_kappa, b_kappa),
     )
 
 
@@ -304,8 +315,7 @@ def check_commutation(sys):
 def canonical_system(matrix_a, matrix_b):
     """Build the system for two essential commuting matrices under the canonical specification."""
     ga, gb = essential_graphs(matrix_a, matrix_b)
-    pairs = (sigma_ab(ga, gb), sigma_ba(ga, gb))
-    return build_system(ga, gb, canonical_specification(ga, gb, pairs), pairs)
+    return build_system(ga, gb, canonical_specification(ga, gb))
 
 
 def exchange_system(n, m):

@@ -12,6 +12,18 @@ from cktiles.textile import canonical_system
 EXCHANGE_2_3 = {"A": [[2]], "B": [[3]], "kappa": "exchange"}
 IDENTITY_2 = {"A": [[1, 0], [0, 1]], "B": [[1, 0], [0, 1]], "kappa": "canonical"}
 NONCOMMUTING = {"A": [[0, 1], [1, 0]], "B": [[1, 1], [0, 1]], "kappa": "canonical"}
+SWAP = [[0, 1], [1, 0]]
+IDENTITY = [[1, 0], [0, 1]]
+
+
+def _explicit(a, b, *entries):
+    """A document with an explicit kappa; each entry lists the edge ids alpha, b, a, beta."""
+    return {
+        "A": a,
+        "B": b,
+        "kappa": [[[list(alpha), list(b_id)], [list(a_id), list(beta)]]
+                  for alpha, b_id, a_id, beta in entries],
+    }
 
 
 def _write(tmp_path, payload, name="system.json"):
@@ -139,6 +151,47 @@ def test_invalid_explicit_kappa_exits_5(tmp_path, capsys):
             b'{"A": [[' + b"1" * 5000 + b"]]}", 2,
             "parse error: input is not valid JSON: Exceeds the limit", id="integer-of-5000-digits",
         ),
+        pytest.param(
+            _explicit([[2]], [[2]], ((1, 1, 1), (1, 1, 1), (1, 1, 1), (1, 1, 1)),
+                      ((1, 1, 1), (1, 1, 2), (1, 1, 1), (1, 1, 2)),
+                      ((1, 1, 2), (1, 1, 1), (1, 1, 2), (1, 1, 1))),
+            5, "invalid specification: domain-mismatch: domain has 3 pairs, "
+            "expected all 4 composable (alpha, b) pairs\n", id="domain-too-small",
+        ),
+        pytest.param(
+            _explicit(SWAP, IDENTITY, ((1, 2, 1), (1, 1, 1), (1, 1, 1), (1, 2, 1)),
+                      ((2, 1, 1), (1, 1, 1), (2, 2, 1), (2, 1, 1))),
+            5, "invalid specification: domain-mismatch: domain has 2 pairs, "
+            "expected all 2 composable (alpha, b) pairs\n", id="domain-pair-not-composable",
+        ),
+        pytest.param(
+            _explicit(SWAP, IDENTITY, ((1, 2, 1), (2, 2, 1), (1, 1, 1), (2, 1, 1)),
+                      ((2, 1, 1), (1, 1, 1), (2, 2, 1), (1, 2, 1))),
+            5, "invalid specification: endpoint-r(a)=s(beta): "
+            "image (B(1,1)#1, A(2,1)#1) is not a composable (a, beta) pair\n",
+            id="image-not-composable",
+        ),
+        pytest.param(
+            _explicit([[2]], [[2]], *(((1, 1, i), (1, 1, k), (1, 1, 1), (1, 1, 1))
+                                      for i in (1, 2) for k in (1, 2))),
+            5, "invalid specification: not-injective: "
+            "image (B(1,1)#1, A(1,1)#1) already taken by (A(1,1)#1, B(1,1)#1)\n",
+            id="not-injective",
+        ),
+        pytest.param(
+            _explicit(SWAP, IDENTITY, ((1, 2, 1), (2, 2, 1), (2, 2, 1), (2, 1, 1)),
+                      ((2, 1, 1), (1, 1, 1), (1, 1, 1), (1, 2, 1))),
+            5, "invalid specification: endpoint-s(alpha)=s(a): s(alpha)=1 but s(a)=2\n",
+            id="sources-differ",
+        ),
+        pytest.param(
+            _explicit([[1, 1], [1, 1]], IDENTITY, ((1, 1, 1), (1, 1, 1), (1, 1, 1), (1, 2, 1)),
+                      ((1, 2, 1), (2, 2, 1), (1, 1, 1), (1, 1, 1)),
+                      ((2, 1, 1), (1, 1, 1), (2, 2, 1), (2, 1, 1)),
+                      ((2, 2, 1), (2, 2, 1), (2, 2, 1), (2, 2, 1))),
+            5, "invalid specification: endpoint-r(b)=r(beta): r(b)=1 but r(beta)=2\n",
+            id="ranges-differ",
+        ),
     ],
 )
 def test_rejected_input_exits_with_one_line(tmp_path, capsys, command, payload, code, message):
@@ -215,6 +268,12 @@ def test_kgroups_enumerates_composable_pairs_once(tmp_path, capsys, monkeypatch)
     code, _, _ = _run(capsys, ["kgroups", _write(tmp_path, payload)])
     assert code == 0
     assert (len(pairs_ab), len(pairs_ba)) == (1, 1)
+    # the exchange specification lists its domain; validation only counts
+    pairs_ab.clear()
+    pairs_ba.clear()
+    code, _, _ = _run(capsys, ["kgroups", _write(tmp_path, EXCHANGE_2_3)])
+    assert code == 0
+    assert (len(pairs_ab), len(pairs_ba)) == (1, 0)
 
 
 def test_kgroups_exchange_3_3(tmp_path, capsys):

@@ -271,7 +271,7 @@ def test_torsion_orders_multiply_to_diag_product():
 
 def _exact_cokernel(m):
     """The cokernel from the exact Smith elimination alone."""
-    diagonal, _, _ = ktheory._diagonalize(m.to_lists(), m.rows, m.cols, track=False)
+    diagonal, _, _ = ktheory._diagonalize(m.to_lists(), m.rows, m.cols)
     return AbelianGroup(
         free_rank=m.rows - sum(1 for d in diagonal if d),
         torsion=tuple(d for d in diagonal if d > 1),
@@ -378,20 +378,29 @@ def test_divisibility_chain_without_factoring():
     assert ktheory._divisibility_chain([8, 2, 4]) == (2, 4, 8)
 
 
-@pytest.mark.parametrize("n, m", [(9, 12), (11, 12)])
+@pytest.mark.parametrize(
+    "n, m", [(9, 12), (11, 12), pytest.param(None, None, id="corpus-1302-40")]
+)
 def test_nonsingular_cores_never_reach_the_exact_path(monkeypatch, n, m):
     # entry growth in the exact elimination depends on pivot order, not on
     # size: on whole matrices it was about 100 times slower at exchange(9, 12),
-    # n = 108, than at exchange(11, 12), n = 132, so no nonsingular core is
-    # left to it
+    # n = 108, than at exchange(11, 12), n = 132, so no core is left to it,
+    # singular or not; 60 of the corpus's 130 K0 matrices have a singular core
+    if n is None:
+        systems = [e.system for e in standard_corpus(seed=1302, circulant_pairs=40)]
+    else:
+        systems = [exchange_system(n, m)]
     calls = []
     exact = ktheory._diagonalize
 
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return exact(*args, **kwargs)
+    def counted(*args):
+        calls.append(args[1:])
+        return exact(*args)
 
     monkeypatch.setattr(ktheory, "_diagonalize", counted)
-    groups = kgroups_of_system(exchange_system(n, m))
+    for sys_ in systems:
+        groups = kgroups_of_system(sys_)
+        assert block_matrix_k0(sys_) == groups.k0
+        if n is not None:
+            assert groups.k0 == closed_form_kgroups(n, m).canonical
     assert calls == []
-    assert groups.k0 == closed_form_kgroups(n, m).canonical

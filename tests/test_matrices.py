@@ -1,6 +1,10 @@
+import random
+from math import prod
+
 import pytest
 
 from cktiles.errors import InputError
+from cktiles.ktheory import invariant_factors_oracle
 from cktiles.matrices import IntMatrix
 
 
@@ -61,3 +65,28 @@ def test_det():
     assert IntMatrix([[0, 1], [1, 0]]).det() == -1
     # 3x3 with a zero pivot forces a row swap
     assert IntMatrix([[0, 1, 2], [1, 0, 3], [4, 5, 6]]).det() == 16
+
+
+def test_rank_minor_on_rank_deficient_matrices():
+    # rows drawn from a random basis of at most n vectors, so many are singular
+    rng = random.Random(2024)
+    deficient = 0
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        basis = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n))]
+        rows = []
+        for _ in range(n):
+            coeffs = [rng.randint(-2, 2) for _ in basis]
+            rows.append([sum(c * v[j] for c, v in zip(coeffs, basis)) for j in range(n)])
+        m = IntMatrix(rows)
+        factors = invariant_factors_oracle(m)
+        rank, minor = m.rank_minor()
+        assert rank == len(factors), rows
+        assert minor != 0 and minor % prod(factors) == 0, rows
+        if rank == n:
+            assert m.det() == minor
+        else:
+            deficient += 1
+            assert m.det() == 0
+    assert deficient > 50
+    assert IntMatrix.zeros(3, 3).rank_minor() == (0, 1)

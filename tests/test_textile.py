@@ -1,6 +1,6 @@
 import pytest
 
-from cktiles.corpus import circulant_matrix
+from cktiles.corpus import circulant_matrix, standard_corpus
 from cktiles.errors import CommutationError, InputError, SpecificationError
 from cktiles.graph import graph_from_matrix
 from cktiles.matrices import IntMatrix
@@ -168,6 +168,48 @@ def test_validate_specification_reports_domain_mismatch():
     assert report.failure == "domain-mismatch"
 
 
+def _edges(graph, *keys):
+    return [graph.edge_by_key(key) for key in keys]
+
+
+def test_validate_specification_reports_image_not_composable():
+    ga, gb = _graphs([[0, 1], [1, 0]], [[1, 0], [0, 1]])
+    pairs = sigma_ab(ga, gb)
+    a11, a22 = _edges(gb, (1, 1, 1), (2, 2, 1))
+    beta12, beta21 = _edges(ga, (1, 2, 1), (2, 1, 1))
+    # r(a) = 1 but s(beta) = 2
+    mapping = {pairs[0]: (a11, beta21), pairs[1]: (a22, beta12)}
+    report = validate_specification(Specification(domain=tuple(pairs), mapping=mapping), ga, gb)
+    assert (report.ok, report.failure, report.pair) == (False, "endpoint-r(a)=s(beta)", pairs[0])
+    assert report.detail == "image (B(1,1)#1, A(2,1)#1) is not a composable (a, beta) pair"
+
+
+def test_validate_specification_reports_range_violation():
+    ga, gb = _graphs([[1, 1], [1, 1]], [[1, 0], [0, 1]])
+    pairs = sigma_ab(ga, gb)
+    images = sigma_ba(ga, gb)
+    # swap the images of the two pairs leaving vertex 1: composable, injective
+    # and source-preserving, but r(b) = r(beta) fails
+    mapping = dict(zip(pairs, [images[1], images[0]] + images[2:]))
+    report = validate_specification(Specification(domain=tuple(pairs), mapping=mapping), ga, gb)
+    assert (report.ok, report.failure, report.pair) == (False, "endpoint-r(b)=r(beta)", pairs[0])
+    assert report.detail == "r(b)=1 but r(beta)=2"
+
+
+def test_validate_specification_reports_not_surjective():
+    # AB = [[1, 0], [0, 0]] and BA = [[1, 0], [1, 0]] differ, so these graphs
+    # do not commute: one composable (alpha, b) pair, two (a, beta) pairs
+    ga, gb = _graphs([[1, 0], [0, 0]], [[1, 0], [1, 0]])
+    pairs = sigma_ab(ga, gb)
+    images = sigma_ba(ga, gb)
+    assert (len(pairs), len(images)) == (1, 2)
+    report = validate_specification(
+        Specification(domain=tuple(pairs), mapping={pairs[0]: images[0]}), ga, gb
+    )
+    assert (report.ok, report.failure, report.pair) == (False, "not-surjective", None)
+    assert report.detail == "image covers 1 of 2 (a, beta) pairs"
+
+
 def test_build_system_rejects_invalid_specification():
     ga, gb = _graphs([[2]], [[2]])
     pairs = sigma_ab(ga, gb)
@@ -194,6 +236,37 @@ def test_exchange_2_2_a_kappa_literal():
         [1, 0, 1, 0],
         [0, 1, 0, 1],
     ]
+
+
+def _literal_transition_matrices(sys_):
+    """A_k and B_k by their defining formulas, over every pair of corner pairs.
+
+    A_k has a 1 at ((alpha, a), (delta, b)) iff kappa(alpha, b) = (a, beta) for
+    some beta; B_k has a 1 at ((alpha, a), (beta, d)) iff kappa(alpha, b) =
+    (a, beta) for some b.
+    """
+    left_of = {pair: image[0] for pair, image in sys_.kappa.items()}
+    glues = {(alpha, a, beta) for (alpha, _), (a, beta) in sys_.kappa.items()}
+    omega = sys_.omega
+    a_rows = [[int(left_of.get((alpha, b)) == a) for _, b in omega] for alpha, a in omega]
+    b_rows = [[int((alpha, a, delta) in glues) for delta, _ in omega] for alpha, a in omega]
+    return IntMatrix(a_rows), IntMatrix(b_rows)
+
+
+def test_transition_matrices_match_the_literal_formulas():
+    systems = [exchange_system(n, m) for n in range(2, 9) for m in range(n, 9)]
+    corpus = standard_corpus(seed=1302, circulant_pairs=40)
+    assert len(corpus) == 65
+    systems += [e.system for e in corpus]
+    # kappa(alpha_i, b_k) = (a_i, beta_k), the explicit gluing of the golden outputs
+    ga, gb = _graphs([[2]], [[2]])
+    mapping = {
+        (alpha, b): (gb.edges[i], ga.edges[k])
+        for i, alpha in enumerate(ga.edges) for k, b in enumerate(gb.edges)
+    }
+    systems.append(build_system(ga, gb, Specification(domain=tuple(mapping), mapping=mapping)))
+    for sys_ in systems:
+        assert (sys_.a_kappa, sys_.b_kappa) == _literal_transition_matrices(sys_), sys_
 
 
 def test_h_kappa_block_structure(corpus):
