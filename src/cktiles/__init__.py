@@ -45,7 +45,6 @@ from .ktheory import (
     block_matrix_k0,
     canonicalize,
     cokernel,
-    group_equal,
     invariant_factors_oracle,
     kernel_rank,
     kgroups_of_system,
@@ -127,7 +126,6 @@ __all__ = [
     "extend_patch",
     "find_transitivity_witness",
     "graph_from_matrix",
-    "group_equal",
     "invariant_factors_oracle",
     "is_essential",
     "is_irreducible",

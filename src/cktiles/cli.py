@@ -18,7 +18,7 @@ from .closedform import verify_closed_form
 from .corpus import standard_corpus
 from .errors import CommutationError, InputError, SpecificationError
 from .graph import is_essential, satisfies_condition_I, unreachable_pair
-from .ktheory import block_matrix_k0, group_equal, kgroups_of_system
+from .ktheory import block_matrix_k0, kgroups_of_system
 from .textile import (
     Specification,
     build_system,
@@ -123,7 +123,7 @@ def _kgroups_payload(sys_):
         "k0": _group_payload(groups.k0),
         "k1": _group_payload(groups.k1),
         "k0_from_block_matrix": _group_payload(k0_from_block),
-        "block_matrix_cross_check": group_equal(groups.k0, k0_from_block),
+        "block_matrix_cross_check": groups.k0 == k0_from_block,
     }
 
 

@@ -14,12 +14,16 @@ of one integer matrix.  :func:`cokernel` finds them in two steps:
     ever exceeds D, whether the core is singular (K1 nonzero for
     A_k + B_k - I_n) or not.
 
+:func:`canonicalize` is the one way a list of cyclic orders, the cokernel's
+or the closed form's, becomes an :class:`AbelianGroup`; it factors nothing.
+
 :func:`smith_normal_form` runs the exact elimination on the whole matrix and
 returns unimodular transforms verified by multiplication; an independent
 oracle built from determinantal divisors (d_k = gcd of all k x k minors;
 successive quotients are the invariant factors) checks small inputs.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
@@ -54,12 +58,15 @@ class AbelianGroup:
     torsion: tuple = ()
 
     def __post_init__(self):
-        if self.free_rank < 0:
-            raise InputError("free rank must be nonnegative")
-        factors = tuple(self.torsion)
+        if type(self.free_rank) is not int or self.free_rank < 0:
+            raise InputError(f"free rank must be a nonnegative int, got {self.free_rank!r}")
+        try:
+            factors = tuple(self.torsion)
+        except TypeError:
+            raise InputError(f"torsion must be a list of ints, got {self.torsion!r}") from None
         object.__setattr__(self, "torsion", factors)
         for d in factors:
-            if not isinstance(d, int) or d < 2:
+            if type(d) is not int or d < 2:
                 raise InputError(f"invariant factors must be ints >= 2, got {d!r}")
         for small, large in zip(factors, factors[1:]):
             if large % small:
@@ -350,22 +357,6 @@ def _diagonal_mod(a, d):
     return diagonal
 
 
-def _divisibility_chain(orders):
-    """Invariant factors of the sum of Z/oZ over ``orders`` (all >= 1).
-
-    Pairwise (gcd, lcm) replacement leaves each entry dividing every later
-    one, with no factoring; the orders of 1 fall to the front and are
-    dropped.
-    """
-    factors = [o for o in orders if o > 1]
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            a, b = factors[i], factors[j]
-            g = gcd(a, b)
-            factors[i], factors[j] = g, a // g * b
-    return tuple(f for f in factors if f > 1)
-
-
 def cokernel(m):
     """The quotient Z^n / M Z^n as an abelian group in canonical form.
 
@@ -376,16 +367,17 @@ def cokernel(m):
     D that :meth:`IntMatrix.rank_minor` finds.  The core is diagonalised
     over Z/DZ and each diagonal entry s gives Z/gcd(s, D)Z: the nonzero
     factors come back whole and each of the k - r zero factors comes back
-    as D, so pairwise gcd/lcm puts those k - r copies of D at the top of
-    the chain d1 | d2 | ..., where they are dropped for k - r copies of Z
-    (when D = 1 the chain is empty and there is nothing to drop).
+    as D.  :func:`canonicalize` turns these orders into the chain
+    d1 | d2 | ..., whose top k - r entries are those copies of D; they are
+    dropped for k - r copies of Z (when D = 1 the chain is empty and there
+    is nothing to drop).
     """
     if not m.is_square():
         raise InputError("cokernel requires a square matrix")
     core = _unit_eliminated_core(m)
     rank, minor = IntMatrix(core).rank_minor()
     d = abs(minor)
-    chain = _divisibility_chain([gcd(s, d) for s in _diagonal_mod(core, d)])
+    chain = canonicalize([gcd(s, d) for s in _diagonal_mod(core, d)]).torsion
     free_rank = len(core) - rank
     return AbelianGroup(free_rank=free_rank, torsion=chain[: len(chain) - free_rank])
 
@@ -398,51 +390,56 @@ def kernel_rank(m):
     return cokernel(m).free_rank
 
 
-def group_equal(g1, g2):
-    """Isomorphism test for groups already in invariant-factor form."""
-    return g1.free_rank == g2.free_rank and g1.torsion == g2.torsion
-
-
-def _factorize(n):
-    """Prime factorization by trial division; fine for the orders seen here."""
-    factors = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
 def canonicalize(summands):
     """Turn a list of cyclic orders (0 meaning Z) into invariant-factor form.
 
-    Works prime by prime: the largest invariant factor collects the largest
-    power of every prime, and so on down.  Order-independent; summands of
-    order 1 vanish.
+    Equal orders are counted once, and the distinct orders above 1 are
+    refined into a pairwise-coprime base without factoring: a newcomer x
+    sharing g = gcd(x, b) > 1 with a member b takes b out and queues x/g, g
+    and b/g, until no two members share a factor (each split divides the
+    product of base and queue by g, so this ends).  A prime divides at most
+    one member, so members stand in for primes: the largest invariant
+    factor collects the largest power of each, and so on down.
+    Order-independent; summands of order 1 vanish.
     """
-    free_rank = 0
-    exponents = {}
-    for order in summands:
-        if not isinstance(order, int) or order < 0:
+    try:
+        orders = list(summands)
+    except TypeError:
+        raise InputError(f"cyclic orders must be a list of ints, got {summands!r}") from None
+    for order in orders:
+        if type(order) is not int or order < 0:
             raise InputError(f"cyclic orders must be nonnegative ints, got {order!r}")
-        if order == 0:
-            free_rank += 1
-            continue
-        for p, e in _factorize(order).items():
-            exponents.setdefault(p, []).append(e)
+    counts = Counter(orders)
+    free_rank = counts.pop(0, 0)
+    base, queue = [], [order for order in counts if order > 1]
+    while queue:
+        x = queue.pop()
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[i]
+                queue += [y for y in (x // g, g, b // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    exponents = {}
+    for order, count in counts.items():
+        for b in base:
+            e = 0
+            while order % b == 0:
+                order //= b
+                e += 1
+            if e:
+                exponents.setdefault(b, []).extend([e] * count)
     for exps in exponents.values():
         exps.sort(reverse=True)
     depth = max((len(exps) for exps in exponents.values()), default=0)
     factors = []
     for i in range(depth):  # i = 0 builds the largest factor
         f = 1
-        for p, exps in exponents.items():
+        for b, exps in exponents.items():
             if i < len(exps):
-                f *= p ** exps[i]
+                f *= b ** exps[i]
         factors.append(f)
     factors.reverse()
     return AbelianGroup(free_rank=free_rank, torsion=tuple(factors))

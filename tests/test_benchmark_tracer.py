@@ -1,0 +1,49 @@
+"""The benchmark's tracer finds every name it reads in the package.
+
+``perfbench/tracer.py`` wraps the ``IntMatrix`` methods it lists by name
+(a missing one raises ``KeyError``), and ``summarize`` looks traced
+functions up by span name (a missing one raises ``ValueError``); it also
+takes ``len()`` of what ``canonicalize`` is given.  A rename or deletion in
+the package therefore fails here rather than inside
+``perfbench/run.py --trace 1``.
+"""
+
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the span names tracer.summarize looks up with names.index
+SUMMARIZED = (
+    "ktheory.cokernel",
+    "ktheory.smith_normal_form",
+    "ktheory.canonicalize",
+    "tiling.is_transitive_search",
+    "tiling.find_transitivity_witness",
+    "textile.build_system",
+    "closedform.closed_form_kgroups",
+)
+
+
+def test_tracer_finds_every_name_it_reads():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import harness
+        import tracer
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    modules = harness.load_package(ROOT)
+    traced = tracer.Tracer(modules)
+    for name in [f"matrices.{m.strip('_')}" for m in tracer.MATRIX_METHODS] + list(SUMMARIZED):
+        assert name in traced.names
+    traced.install()
+    try:
+        traced.op = 0
+        groups = modules["ktheory"].kgroups_of_system(modules["textile"].exchange_system(2, 3))
+    finally:
+        traced.remove()
+    called = [traced.names[span[1]] for span in traced.spans]
+    assert "ktheory.canonicalize" in called  # cokernel's normal form, given a list
+    summary = tracer.summarize(traced, [], SimpleNamespace(passes=1, wall=1.0), {})
+    assert summary["max_factor_bits"] == groups.k0.torsion[-1].bit_length() == 4

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cktiles import graph, textile
 from cktiles.cli import main
@@ -391,8 +396,6 @@ def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EXCHANGE_2_3)))
     code, out, _ = _run(capsys, ["kgroups"])
     assert code == 0
@@ -401,3 +404,46 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     code, out, err = _run(capsys, ["kgroups"])
     assert (code, out) == (2, "")
     assert err.startswith("parse error: cannot read standard input: ")
+
+
+# --- fuzzing main over JSON documents -------------------------------------------
+
+# Square matrices over 0..3 make the valid, noncommuting and badly glued
+# systems likely; ragged rows, negatives and bools exercise the parser.
+_ENTRY = st.integers(-2, 3) | st.booleans()
+_MATRIX = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+) | st.lists(st.lists(_ENTRY, max_size=3), max_size=3)
+_VERTEX = st.sampled_from([1, 1, 1, 2, 0])
+_EDGE_ID = st.lists(_VERTEX, min_size=2, max_size=2).flatmap(
+    lambda ends: st.integers(0, 3).map(lambda k: ends + [k])
+)
+_KAPPA = st.one_of(
+    st.sampled_from(["canonical", "exchange"]),
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4),
+    st.lists(st.tuples(st.tuples(_EDGE_ID, _EDGE_ID), st.tuples(_EDGE_ID, _EDGE_ID)), max_size=6),
+    st.recursive(_EDGE_ID | st.integers(-1, 3), lambda inner: st.lists(inner, max_size=3), max_leaves=12),
+)
+
+
+@st.composite
+def _documents(draw):
+    a = draw(_MATRIX)
+    document = {"A": a, "B": draw(st.just(a) | _MATRIX)}
+    if draw(st.booleans()):
+        document["kappa"] = draw(_KAPPA)
+    return document
+
+
+@settings(max_examples=150, deadline=None)
+@given(_documents(), st.sampled_from([["check"], ["kgroups"], ["tiles"], ["witness", "0", "1"]]))
+def test_main_exits_with_a_documented_code_on_any_document(document, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(document))):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in range(6)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code >= 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

@@ -49,7 +49,9 @@ DOCUMENT_COMMANDS = {
 PLAIN_COMMANDS = {
     "closedform-2-3": ["closedform", "2", "3"],
     "closedform-4-9": ["closedform", "4", "9"],
+    "closedform-9-14": ["closedform", "9", "14"],
     "sweep-6-7": ["sweep", "6", "7"],
+    "sweep-3-9": ["sweep", "3", "9"],
     "corpus": ["corpus"],
     "corpus-seed-7-count-30": ["corpus", "--seed", "7", "--count", "30"],
 }
@@ -87,6 +89,8 @@ GOLDEN = {
     "closedform-2-3": ("558ee4eda233f302912fa647f1bbc138e15d91154e84dc74bb98ce66c4212771", 0),
     "closedform-4-9": ("7525da8071424e9e597aa75a7d242a93bb7d4d25e4adbc017aa87205806e1f6f", 0),
     "sweep-6-7": ("e9716a14f9f88195d41015e20b4f568b83ece60202e0cd4e0c5c3d5aeafd4cc8", 0),
+    "closedform-9-14": ("1184bac1061504cc5cad7fd542f5563292628f1662285141ce3e7b1ec3ded44f", 0),
+    "sweep-3-9": ("92fecf85aed75b3b4312b2e48c6be19ab56a678e78aa10642675be89e18e396d", 0),
     "corpus": ("cef7d21f438fa5f581599e9b3ec96f2422d7e49a18681f31cffd2b847084848b", 0),
     "corpus-seed-7-count-30": ("86cfae4acad853df34993ce9fffb82e39f420f37257f39a6256b931925215aeb", 0),
 }

@@ -14,7 +14,6 @@ from cktiles.ktheory import (
     block_matrix_k0,
     canonicalize,
     cokernel,
-    group_equal,
     invariant_factors_oracle,
     kernel_rank,
     kgroups_of_system,
@@ -202,17 +201,77 @@ def test_kgroups_exchange_3_3():
     assert kg.k1.is_trivial()
 
 
-def test_group_equal_and_canonicalize():
-    assert group_equal(canonicalize([2, 3]), canonicalize([6]))
-    assert not group_equal(canonicalize([4]), canonicalize([2, 2]))
-    assert not group_equal(AbelianGroup(free_rank=1), canonicalize([5]))
+def _canonicalize_by_primes(orders):
+    """The invariant-factor form prime by prime: the independent reference.
+
+    Each order is factored by trial division; the largest invariant factor
+    collects the largest power of every prime, and so on down.
+    """
+    free_rank = 0
+    exponents = {}
+    for order in orders:
+        if order == 0:
+            free_rank += 1
+        p = 2
+        while 1 < order and p * p <= order:
+            e = 0
+            while order % p == 0:
+                order //= p
+                e += 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+            p += 1 if p == 2 else 2
+        if order > 1:
+            exponents.setdefault(order, []).append(1)
+    for exps in exponents.values():
+        exps.sort(reverse=True)
+    depth = max((len(exps) for exps in exponents.values()), default=0)
+    factors = [
+        prod(p ** exps[i] for p, exps in exponents.items() if i < len(exps))
+        for i in range(depth)
+    ]
+    return AbelianGroup(free_rank=free_rank, torsion=tuple(reversed(factors)))
+
+
+def test_canonicalize_and_group_equality():
+    assert canonicalize([2, 3]) == canonicalize([6])
+    assert canonicalize([4]) != canonicalize([2, 2])
+    assert AbelianGroup(free_rank=1) != canonicalize([5])
     assert canonicalize([2, 10]).torsion == (2, 10)
     assert canonicalize([2, 3]).torsion == (6,)
     assert canonicalize([4, 6]).torsion == (2, 12)
     assert canonicalize([1, 1, 8]).torsion == (8,)
     assert canonicalize([0, 0, 12]) == AbelianGroup(free_rank=2, torsion=(12,))
-    with pytest.raises(InputError):
-        canonicalize([-2])
+    # 1s and repeats, as a cokernel's diagonal modulo D gives them
+    assert canonicalize([]) == AbelianGroup.trivial()
+    assert canonicalize([1, 6, 4, 1]).torsion == (2, 12)
+    assert canonicalize([8, 2, 4]).torsion == (2, 4, 8)
+    assert canonicalize(iter([12, 18, 0])) == AbelianGroup(free_rank=1, torsion=(6, 36))
+    for bad in ([-2], [True, False, 4], [1, True], [2.0], ["6"], [[2]], 5, None):
+        with pytest.raises(InputError):
+            canonicalize(bad)
+    for rank in (1.5, "a", True, -1, None):
+        with pytest.raises(InputError):
+            AbelianGroup(free_rank=rank)
+    for torsion in ((2, True), (2.0,), 5):
+        with pytest.raises(InputError):
+            AbelianGroup(free_rank=0, torsion=torsion)
+    # primes of 64 and 89 bits: trial division would never reach p
+    p, q = 2**64 - 59, 2**89 - 1
+    assert canonicalize([p * q, p]) == AbelianGroup(free_rank=0, torsion=(p, p * q))
+    assert canonicalize([p * p, p * q, q]) == AbelianGroup(free_rank=0, torsion=(p * q, p * p * q))
+
+
+# lists of orders drawn with repeats from a small pool, 0s and 1s included
+_ORDER_LISTS = st.lists(st.integers(0, 400), min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool + [0, 1]), max_size=12)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ORDER_LISTS)
+def test_canonicalize_matches_the_prime_by_prime_reference(orders):
+    assert canonicalize(orders) == _canonicalize_by_primes(orders)
 
 
 def test_abelian_group_validation_and_text():
@@ -237,7 +296,7 @@ def test_theorem_cross_check_on_corpus(corpus):
         k0_from_block = cokernel(
             IntMatrix.identity(2 * n) - sys_.h_kappa.transpose()
         )
-        assert group_equal(k0, k0_from_block), entry.label
+        assert k0 == k0_from_block, entry.label
         # kgroups_of_system no longer compares the two routes itself
         assert kgroups_of_system(sys_).k0 == k0 == block_matrix_k0(sys_), entry.label
 
@@ -254,7 +313,7 @@ def test_negation_gives_same_cokernel():
     for _ in range(60):
         n = rng.randint(1, 5)
         m = IntMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
-        assert group_equal(cokernel(m), cokernel(-m))
+        assert cokernel(m) == cokernel(-m)
 
 
 def test_torsion_orders_multiply_to_diag_product():
@@ -347,7 +406,7 @@ def test_cokernel_recovers_planted_torsion(diagonal, moves, scale):
             for row in a:
                 row[i] += c * row[j]
     m = IntMatrix(a)
-    expected = canonicalize([scale * d for d in diagonal])
+    expected = _canonicalize_by_primes([scale * d for d in diagonal])
     assert cokernel(m) == expected
     assert _exact_cokernel(m) == expected
 
@@ -369,13 +428,6 @@ def test_modular_diagonal_keeps_a_pivot_that_divides():
     sys_ = exchange_system(8, 8)
     expected = closed_form_kgroups(8, 8).canonical
     assert kgroups_of_system(sys_).k0 == expected == block_matrix_k0(sys_)
-
-
-def test_divisibility_chain_without_factoring():
-    assert ktheory._divisibility_chain([]) == ()
-    assert ktheory._divisibility_chain([1, 6, 4, 1]) == (2, 12)
-    assert ktheory._divisibility_chain([2, 3]) == (6,)
-    assert ktheory._divisibility_chain([8, 2, 4]) == (2, 4, 8)
 
 
 @pytest.mark.parametrize(
