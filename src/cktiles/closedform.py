@@ -77,7 +77,7 @@ class ClosedFormComparison:
 
 def euclid_trace(m, n):
     """Run the Euclidean algorithm on m >= n >= 1, keeping all quotients."""
-    if not (isinstance(m, int) and isinstance(n, int)):
+    if not (type(m) is int and type(n) is int):
         raise InputError("m and n must be ints")
     if n < 1:
         raise InputError("n must be at least 1")
@@ -113,7 +113,7 @@ def continuant(ks):
     three-term recurrence c_t = c_{t-1} * k_t + c_{t-2} beyond that."""
     prev, cur = 0, 1  # continuants of the (-1)-length and empty lists
     for k in ks:
-        if not isinstance(k, int) or k < 1:
+        if type(k) is not int or k < 1:
             raise InputError(f"continuant entries must be positive ints, got {k!r}")
         prev, cur = cur, cur * k + prev
     return cur
@@ -143,7 +143,7 @@ def torsion_tail_orders(N, M):
 
 
 def _require_pair(N, M):
-    if not (isinstance(N, int) and isinstance(M, int)):
+    if not (type(N) is int and type(M) is int):
         raise InputError("N and M must be ints")
     if N <= 1:
         raise InputError("require N > 1")

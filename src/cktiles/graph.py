@@ -69,7 +69,7 @@ class DirectedMultigraph:
         return m
 
 
-def _square_rows(matrix, require_nonnegative=True):
+def _square_rows(matrix):
     """Accept an IntMatrix or nested sequences; return validated row lists."""
     rows = matrix.to_lists() if isinstance(matrix, IntMatrix) else [list(r) for r in matrix]
     n = len(rows)
@@ -77,9 +77,9 @@ def _square_rows(matrix, require_nonnegative=True):
         if len(row) != n:
             raise InputError("matrix must be square")
         for x in row:
-            if not isinstance(x, int):
+            if type(x) is not int:
                 raise InputError(f"matrix entries must be ints, got {x!r}")
-            if require_nonnegative and x < 0:
+            if x < 0:
                 raise InputError(f"matrix entries must be nonnegative, got {x}")
     return rows
 

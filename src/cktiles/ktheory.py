@@ -6,9 +6,9 @@ The K-groups of the Cuntz-Krieger algebra attached to a built tile system are
 with n the number of corner pairs.  Both are read off the invariant factors
 of one integer matrix.  :func:`cokernel` finds them in two steps:
 
-(a) the +-1 pivots are eliminated sparsely, in Markowitz order; each gives
-    the factor 1 and leaves a square core, 19 x 19 for the n = 108 matrix
-    of exchange(9, 12);
+(a) the +-1 pivots are eliminated sparsely, each taken from the shortest
+    row that holds one; each gives the factor 1, and what is left is a
+    square core, 19 x 19 for the n = 108 matrix of exchange(9, 12);
 (b) one fraction-free elimination gives the core's rank r and a nonzero
     r x r minor D, and the core is diagonalised over Z/DZ, so no entry
     ever exceeds D, whether the core is singular (K1 nonzero for
@@ -231,77 +231,41 @@ def invariant_factors_oracle(m):
     return [divisors[k] // divisors[k - 1] for k in range(1, len(divisors))]
 
 
-def _markowitz_pivot(rows, col_rows, live):
-    """The unit entry (i, j) of least Markowitz cost (r - 1)(c - 1), or None.
-
-    r and c count the nonzeros of row i and column j.  Rows are searched by
-    length and columns by count, shortest line first.  An entry outside
-    the lines searched so far has r and c no smaller than the next row
-    length and column count, which bounds its cost from below; the search
-    stops once that bound reaches the best cost found.
-    """
-    by_length = sorted(live, key=lambda i: len(rows[i]))
-    by_count = sorted((j for j, hit in enumerate(col_rows) if hit), key=lambda j: len(col_rows[j]))
-    best = best_cost = None
-    ri = ci = 0
-    while ri < len(by_length) and ci < len(by_count):
-        i, j = by_length[ri], by_count[ci]
-        r, c = len(rows[i]), len(col_rows[j])
-        if best is not None and (r - 1) * (c - 1) >= best_cost:
-            break
-        if r <= c:
-            ri += 1
-            units = [(i, col) for col, x in rows[i].items() if x in (1, -1)]
-        else:
-            ci += 1
-            units = [(row, j) for row in col_rows[j] if rows[row][j] in (1, -1)]
-        for row, col in units:
-            cost = (len(rows[row]) - 1) * (len(col_rows[col]) - 1)
-            if best is None or cost < best_cost:
-                best, best_cost = (row, col), cost
-    return best
-
-
 def _unit_eliminated_core(m):
-    """Step (a): eliminate the +-1 pivots of square ``m`` in Markowitz order.
+    """Step (a): eliminate the +-1 pivots of square ``m``, shortest row first.
 
-    Rows are kept sparse, as column -> entry dicts, and every column keeps
-    the set of rows it meets, so counts are read, not rescanned.  Row
-    operations clear the pivot's column; the pivot row then splits off
-    with invariant factor 1, since column operations would clear it without
-    touching any other row.  Returns the dense core: the rows and columns
-    no pivot removed, zero columns included, so the core is square.
+    Rows are kept sparse, as column -> entry dicts under their row index.
+    Each step takes the shortest row holding a unit and pivots on its first
+    unit; row operations clear the pivot's column from every other row, and
+    the pivot row then splits off with invariant factor 1, since column
+    operations would clear it without touching any other row.  Returns the
+    dense core: the rows no pivot removed, in their original order, over
+    the columns no pivot removed, zero columns included, so the core is
+    square.
     """
-    n = m.rows
-    rows = [{j: x for j, x in enumerate(row) if x} for row in m.data]
-    col_rows = [set() for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j in row:
-            col_rows[j].add(i)
-    live = set(range(n))
+    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(m.data)}
     pivot_cols = set()
-    while (pivot := _markowitz_pivot(rows, col_rows, live)) is not None:
-        p, c = pivot
-        live.remove(p)
+    while True:
+        p = None
+        for i, row in rows.items():
+            if (p is None or len(row) < len(rows[p])) and any(x in (1, -1) for x in row.values()):
+                p = i
+        if p is None:
+            break
+        pivot_row = rows.pop(p)
+        c, sign = next((j, x) for j, x in pivot_row.items() if x in (1, -1))
         pivot_cols.add(c)
-        pivot_row = rows[p]
-        for j in pivot_row:
-            col_rows[j].discard(p)
-        sign = pivot_row[c]  # a unit is its own inverse
-        for i in list(col_rows[c]):
-            row = rows[i]
-            f = row[c] * sign
-            for j, x in pivot_row.items():
-                y = row.get(j, 0) - f * x
-                if y:
-                    if j not in row:
-                        col_rows[j].add(i)
-                    row[j] = y
-                else:
-                    del row[j]
-                    col_rows[j].discard(i)
-    cols = [j for j in range(n) if j not in pivot_cols]
-    return [[rows[i].get(j, 0) for j in cols] for i in sorted(live)]
+        for row in rows.values():
+            if c in row:
+                f = row[c] * sign  # a unit is its own inverse
+                for j, x in pivot_row.items():
+                    y = row.get(j, 0) - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+    cols = [j for j in range(m.rows) if j not in pivot_cols]
+    return [[row.get(j, 0) for j in cols] for row in rows.values()]
 
 
 def _clearing_transform(p, q):

@@ -21,7 +21,7 @@ class IntMatrix:
             if len(row) != cols:
                 raise InputError("matrix rows must all have the same length")
             for entry in row:
-                if not isinstance(entry, int):
+                if type(entry) is not int:
                     raise InputError(f"matrix entries must be ints, got {entry!r}")
         self.rows = rows
         self.cols = cols

@@ -3,9 +3,10 @@
 ``perfbench/tracer.py`` wraps the ``IntMatrix`` methods it lists by name
 (a missing one raises ``KeyError``), and ``summarize`` looks traced
 functions up by span name (a missing one raises ``ValueError``); it also
-takes ``len()`` of what ``canonicalize`` is given.  A rename or deletion in
-the package therefore fails here rather than inside
-``perfbench/run.py --trace 1``.
+takes ``len()`` of what ``canonicalize`` is given.  Every function whose
+self time ``perfbench/metrics.py`` reports must be wrapped too, or its metric
+silently reads 0.  A rename or deletion in the package therefore fails here
+rather than inside ``perfbench/run.py --trace 1``.
 """
 
 import sys
@@ -30,12 +31,14 @@ def test_tracer_finds_every_name_it_reads():
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import harness
+        import metrics
         import tracer
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
     modules = harness.load_package(ROOT)
     traced = tracer.Tracer(modules)
-    for name in [f"matrices.{m.strip('_')}" for m in tracer.MATRIX_METHODS] + list(SUMMARIZED):
+    wrapped = [f"matrices.{m.strip('_')}" for m in tracer.MATRIX_METHODS]
+    for name in wrapped + list(SUMMARIZED) + list(metrics.FUNCTIONS):
         assert name in traced.names
     traced.install()
     try:

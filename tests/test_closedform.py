@@ -58,12 +58,16 @@ def test_euclid_trace_preconditions():
         euclid_trace(3, 0)
     with pytest.raises(InputError):
         euclid_trace(2, 5)
+    with pytest.raises(InputError):
+        euclid_trace(True, True)
 
 
 def test_continuant_base_cases():
     assert continuant([]) == 1
     assert continuant([3]) == 3
     assert continuant([2, 3]) == 7
+    with pytest.raises(InputError):
+        continuant([True, 2])
 
 
 def test_continuant_recurrence():

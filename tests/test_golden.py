@@ -37,6 +37,8 @@ DOCUMENTS = {
     "circulant-3": {"A": _circulant(3, {1}), "B": _circulant(3, {0, 2})},
     "swap-ones": {"A": [[0, 1], [1, 0]], "B": [[1, 1], [1, 1]]},
     "explicit-2-2": {"A": [[2]], "B": [[2]], "kappa": _EXPLICIT_KAPPA},
+    "exchange-9-12": {"A": [[9]], "B": [[12]], "kappa": "exchange"},
+    "exchange-11-12": {"A": [[11]], "B": [[12]], "kappa": "exchange"},
 }
 
 DOCUMENT_COMMANDS = {
@@ -93,6 +95,16 @@ GOLDEN = {
     "sweep-3-9": ("92fecf85aed75b3b4312b2e48c6be19ab56a678e78aa10642675be89e18e396d", 0),
     "corpus": ("cef7d21f438fa5f581599e9b3ec96f2422d7e49a18681f31cffd2b847084848b", 0),
     "corpus-seed-7-count-30": ("86cfae4acad853df34993ce9fffb82e39f420f37257f39a6256b931925215aeb", 0),
+    # exchange(9, 12) is the entry-growth case; the unit elimination leaves
+    # a different core for exchange(11, 12) depending on pivot order
+    "check:exchange-9-12": ("670f074fa2fb386d51c73af51059449d559858973808bed74ee4aea946a107ad", 0),
+    "check-pretty-matrices:exchange-9-12": ("60eaf8c73142fc894b70ccaeab824af2c0f2493c1bd9f73b87eaf64c5482f0da", 0),
+    "kgroups:exchange-9-12": ("95e0ac622f22f135f3734f6c647f99a7049698f72e69fa896ef909bcdd02ad10", 0),
+    "tiles:exchange-9-12": ("02c82bd57838dd7af5a5e45c992591e96c8d5fe8635d2645dbde3ec33633493e", 0),
+    "check:exchange-11-12": ("a9eeaa204117430b904db14717acf261f2aa224b458dda3d990d2852e48336fa", 0),
+    "check-pretty-matrices:exchange-11-12": ("20d6b21d04561210e9603881ada4e8a0fb454b243d5daa4686a8d49d7e0cadcc", 0),
+    "kgroups:exchange-11-12": ("a0933a43e49ac2fdc79ad3b39b3c4ecbe8db56540fd66b8665c97313595d5578", 0),
+    "tiles:exchange-11-12": ("93ac8e82af8f03447e4e9afbf101b60ade24d519b45d8ee8bc9cb007226d7bfe", 0),
 }
 
 

@@ -45,6 +45,8 @@ def test_rejects_bad_matrices():
         graph_from_matrix([[1, 2]], "A")
     with pytest.raises(InputError):
         graph_from_matrix([[-1]], "A")
+    with pytest.raises(InputError):
+        graph_from_matrix([[True]], "A")
 
 
 def test_edges_stable_under_rebuild():

@@ -419,6 +419,37 @@ def test_cokernel_core_keeps_zero_columns():
     assert cokernel(IntMatrix([[0, 1], [0, 0]])) == AbelianGroup(free_rank=1)
 
 
+_DENSE_SQUARES = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_DENSE_SQUARES)
+def test_unit_elimination_on_dense_matrices(rows):
+    # planted torsion is sparse; here most entries are nonzero and units
+    # keep reappearing as pivots are cleared
+    m = IntMatrix(rows)
+    core = ktheory._unit_eliminated_core(m)
+    assert all(len(row) == len(core) for row in core)
+    assert not any(x in (1, -1) for row in core for x in row)
+    oracle = invariant_factors_oracle(m)
+    assert cokernel(m) == canonicalize(oracle + [0] * (m.rows - len(oracle)))
+
+
+@pytest.mark.parametrize("n, m, bound", [(11, 12, 23), (20, 20, 55)])
+def test_unit_elimination_core_size(n, m, bound):
+    # the core is what the rank-minor and modular passes pay for; the bounds
+    # are the core sizes the two-sided Markowitz search left
+    sys_ = exchange_system(n, m)
+    k0_matrix = sys_.a_kappa + sys_.b_kappa - IntMatrix.identity(len(sys_.omega))
+    assert len(ktheory._unit_eliminated_core(k0_matrix)) <= bound
+
+
 def test_modular_diagonal_keeps_a_pivot_that_divides():
     # the core of exchange(8, 8) has a pivot 7 beside entries 7; an extended
     # gcd that returns (0, 1) for (7, 7) swaps the lines without shrinking

@@ -13,6 +13,8 @@ def test_construction_validates_shape_and_entries():
         IntMatrix([[1, 2], [3]])
     with pytest.raises(InputError):
         IntMatrix([[1.5]])
+    with pytest.raises(InputError):
+        IntMatrix([[True, False]])
 
 
 def test_arithmetic_is_exact():
