@@ -240,22 +240,21 @@ def _pretty_scalar(value):
     return str(value)
 
 
-def _print_system_report(report, sys_, args):
-    """Print a check or kgroups report, with the transition matrices if asked."""
+def _with_matrices(report, sys_, args):
+    """A check or kgroups report, with the transition matrices if asked."""
     if args.emit_matrices:
         report["matrices"] = {
             "a_kappa": sys_.a_kappa.to_lists(),
             "b_kappa": sys_.b_kappa.to_lists(),
             "h_kappa": sys_.h_kappa.to_lists(),
         }
-    print(_render(report, args.pretty), end="")
+    return report
 
 
 def cmd_check(args):
     sys_ = _parse_system(_load_payload(args.input))
     report, all_ok = _check_payload(sys_)
-    _print_system_report(report, sys_, args)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return _with_matrices(report, sys_, args), all_ok
 
 
 def cmd_kgroups(args):
@@ -264,8 +263,7 @@ def cmd_kgroups(args):
         "system": _system_payload(sys_),
         "kgroups": _kgroups_payload(sys_),
     }
-    _print_system_report(report, sys_, args)
-    return EXIT_OK
+    return _with_matrices(report, sys_, args), True
 
 
 def cmd_closedform(args):
@@ -294,8 +292,7 @@ def cmd_closedform(args):
         },
         "agree": comparison.agree,
     }
-    print(_render(report, args.pretty), end="")
-    return EXIT_OK if comparison.agree else EXIT_CHECK_FAILED
+    return report, comparison.agree
 
 
 def cmd_sweep(args):
@@ -317,8 +314,7 @@ def cmd_sweep(args):
                 }
             )
     report = {"n_max": args.NMAX, "m_max": args.MMAX, "rows": rows, "all_agree": all_agree}
-    print(_render(report, args.pretty), end="")
-    return EXIT_OK if all_agree else EXIT_CHECK_FAILED
+    return report, all_agree
 
 
 def cmd_tiles(args):
@@ -333,9 +329,7 @@ def cmd_tiles(args):
         }
         for i, t in enumerate(sys_.tiles)
     ]
-    report = {"system": _system_payload(sys_), "tiles": tiles}
-    print(_render(report, args.pretty), end="")
-    return EXIT_OK
+    return {"system": _system_payload(sys_), "tiles": tiles}, True
 
 
 def cmd_witness(args):
@@ -361,8 +355,7 @@ def cmd_witness(args):
             "tiles": [tile_index[t] for t in witness.tiles],
             "end_position": list(witness.end_position),
         }
-    print(_render(report, args.pretty), end="")
-    return EXIT_OK
+    return report, True
 
 
 def cmd_corpus(args):
@@ -388,8 +381,7 @@ def cmd_corpus(args):
         "systems": systems,
         "all_ok": all_ok,
     }
-    print(_render(report, args.pretty), end="")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return report, all_ok
 
 
 def build_parser():
@@ -450,10 +442,11 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; each cmd_* returns (report, ok), and ok maps to exit 0 or 1."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        report, ok = args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -466,6 +459,8 @@ def main(argv=None):
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    print(_render(report, args.pretty), end="")
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def entry():

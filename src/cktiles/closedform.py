@@ -26,8 +26,9 @@ class EuclidTrace:
     """Quotients and remainders of the Euclidean algorithm on (m, n), m >= n >= 1.
 
     ``quotients`` is k0, k1, ..., with m = n*k0 + r0 and each later step
-    dividing the previous remainder; ``remainders`` lists r0, r1, ....  The
-    divisible case r0 = 0 is flagged separately and stops immediately.
+    dividing the previous remainder; ``remainders`` lists the nonzero
+    remainders r0, r1, ..., or just (0,) in the divisible case r0 = 0, where
+    there is one quotient.
     """
 
     m: int
@@ -83,28 +84,20 @@ def euclid_trace(m, n):
         raise InputError("n must be at least 1")
     if m < n:
         raise InputError(f"require m >= n, got m={m}, n={n}")
-    k0, r0 = divmod(m, n)
-    if r0 == 0:
-        return EuclidTrace(
-            m=m, n=n, quotients=(k0,), remainders=(0,), gcd=n, divisible=True
-        )
-    quotients = [k0]
-    remainders = [r0]
-    a, b = n, r0
-    while True:
+    quotients, remainders = [], []
+    a, b = m, n
+    while b:
         k, r = divmod(a, b)
         quotients.append(k)
-        if r == 0:
-            break
         remainders.append(r)
         a, b = b, r
     return EuclidTrace(
         m=m,
         n=n,
         quotients=tuple(quotients),
-        remainders=tuple(remainders),
-        gcd=remainders[-1],
-        divisible=False,
+        remainders=tuple(remainders[:-1]) or (0,),
+        gcd=a,
+        divisible=remainders[0] == 0,
     )
 
 
@@ -130,16 +123,13 @@ def torsion_tail_matrix(N, M):
 
 
 def torsion_tail_orders(N, M):
-    """The two cyclic orders of the torsion tail: (d, c * g) with the
-    divisible case collapsing to (N-1, g)."""
+    """The two cyclic orders of the torsion tail: (d, c * g), which is
+    (N-1, g) in the divisible case, where d = N-1 and c = 1."""
     _require_pair(N, M)
-    m, n = M - 1, N - 1
-    trace = euclid_trace(m, n)
-    g = m * (m + n + 1)
-    if trace.divisible:
-        return (n, g), trace, g
-    c = continuant(trace.quotients[1:])
-    return (trace.gcd, c * g), trace, g
+    m = M - 1
+    trace = euclid_trace(m, N - 1)
+    g = m * (m + N)
+    return (trace.gcd, continuant(trace.quotients[1:]) * g), trace, g
 
 
 def _require_pair(N, M):

@@ -10,6 +10,7 @@ specification.
 import random
 from dataclasses import dataclass
 
+from .errors import InputError
 from .textile import canonical_system, exchange_system
 
 
@@ -51,68 +52,34 @@ def _freeze(matrix):
     return tuple(tuple(row) for row in matrix)
 
 
-def standard_corpus(seed=1302, circulant_pairs=24, exchange_max=6):
+def standard_corpus(seed=1302, circulant_pairs=24):
     """The deterministic sweep of systems used by the test suite and CLI.
 
-    Contains every exchange pair with 2 <= N <= M <= exchange_max, identity
-    pairs of sizes 2 and 3, a handful of (A, I) and (A, A) pairs, and
+    Contains every exchange pair with 2 <= N <= M <= 6, identity pairs of
+    sizes 2 and 3, a handful of (A, I) and (A, A) pairs, and
     ``circulant_pairs`` random circulant pairs of sizes 2..5.
     """
+    if type(circulant_pairs) is not int or circulant_pairs < 0:
+        raise InputError(f"circulant_pairs must be a nonnegative int, got {circulant_pairs!r}")
+    entries = [
+        CorpusEntry(f"exchange({n},{m})", ((n,),), ((m,),), exchange_system(n, m))
+        for n in range(2, 7)
+        for m in range(n, 7)
+    ]
     rng = random.Random(seed)
-    entries = []
-    for n in range(2, exchange_max + 1):
-        for m in range(n, exchange_max + 1):
-            entries.append(
-                CorpusEntry(
-                    label=f"exchange({n},{m})",
-                    matrix_a=((n,),),
-                    matrix_b=((m,),),
-                    system=exchange_system(n, m),
-                )
-            )
-    for n in (2, 3):
-        identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        entries.append(
-            CorpusEntry(
-                label=f"identity({n})",
-                matrix_a=_freeze(identity),
-                matrix_b=_freeze(identity),
-                system=canonical_system(identity, identity),
-            )
-        )
+    pairs = [(f"identity({n})", circulant_matrix(n, (0,)), circulant_matrix(n, (0,))) for n in (2, 3)]
     for idx in range(4):
         n = rng.randint(2, 4)
-        a = random_essential_matrix(rng, n)
-        identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        entries.append(
-            CorpusEntry(
-                label=f"pair-with-identity[{idx}]",
-                matrix_a=_freeze(a),
-                matrix_b=_freeze(identity),
-                system=canonical_system(a, identity),
-            )
+        pairs.append(
+            (f"pair-with-identity[{idx}]", random_essential_matrix(rng, n), circulant_matrix(n, (0,)))
         )
     for idx in range(4):
-        n = rng.randint(2, 4)
-        a = random_essential_matrix(rng, n)
-        entries.append(
-            CorpusEntry(
-                label=f"pair-with-self[{idx}]",
-                matrix_a=_freeze(a),
-                matrix_b=_freeze(a),
-                system=canonical_system(a, a),
-            )
-        )
+        a = random_essential_matrix(rng, rng.randint(2, 4))
+        pairs.append((f"pair-with-self[{idx}]", a, a))
     for idx in range(circulant_pairs):
         n = rng.randint(2, 5)
         a = circulant_matrix(n, _random_shifts(rng, n))
-        b = circulant_matrix(n, _random_shifts(rng, n))
-        entries.append(
-            CorpusEntry(
-                label=f"circulant[{idx}]",
-                matrix_a=_freeze(a),
-                matrix_b=_freeze(b),
-                system=canonical_system(a, b),
-            )
-        )
-    return entries
+        pairs.append((f"circulant[{idx}]", a, circulant_matrix(n, _random_shifts(rng, n))))
+    return entries + [
+        CorpusEntry(label, _freeze(a), _freeze(b), canonical_system(a, b)) for label, a, b in pairs
+    ]

@@ -40,17 +40,6 @@ class IntMatrix:
         """The n x n matrix with every entry equal to 1."""
         return cls([[1] * n for _ in range(n)])
 
-    @classmethod
-    def block2(cls, tl, tr, bl, br):
-        """Assemble the 2x2 block matrix [[tl, tr], [bl, br]]."""
-        if tl.rows != tr.rows or bl.rows != br.rows:
-            raise InputError("block rows do not match")
-        if tl.cols != bl.cols or tr.cols != br.cols:
-            raise InputError("block columns do not match")
-        data = [tl.data[i] + tr.data[i] for i in range(tl.rows)]
-        data += [bl.data[i] + br.data[i] for i in range(bl.rows)]
-        return cls(data)
-
     @property
     def shape(self):
         return (self.rows, self.cols)
@@ -122,10 +111,6 @@ class IntMatrix:
 
     def transpose(self):
         return IntMatrix([list(col) for col in zip(*self.data)]) if self.rows else IntMatrix([])
-
-    @property
-    def T(self):
-        return self.transpose()
 
     def kron(self, other):
         """Kronecker product: block (i,j) of the result is self[i,j] * other."""

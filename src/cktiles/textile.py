@@ -17,6 +17,7 @@ concatenation of tiles.
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CommutationError, InputError, SpecificationError
 from .graph import graph_from_matrix, is_essential
@@ -75,9 +76,8 @@ class TextileSystem:
 
     ``omega`` lists the (top, left) corners of tiles in lexicographic order of
     edge positions; ``a_kappa`` and ``b_kappa`` are the horizontal and
-    vertical {0,1} transition matrices indexed by ``omega``; ``h_kappa`` is
-    the doubled block matrix [[A_k, A_k], [B_k, B_k]] whose Cuntz-Krieger
-    algebra the K-theory routines study.
+    vertical {0,1} transition matrices indexed by ``omega``.  The doubled
+    block matrix ``h_kappa`` is derived from them on first read.
     """
 
     graph_a: object
@@ -87,7 +87,13 @@ class TextileSystem:
     omega: tuple
     a_kappa: IntMatrix
     b_kappa: IntMatrix
-    h_kappa: IntMatrix
+
+    @cached_property
+    def h_kappa(self):
+        """H_k = [[A_k, A_k], [B_k, B_k]], whose Cuntz-Krieger algebra the K-theory studies."""
+        return IntMatrix(
+            [row + row for row in self.a_kappa.data] + [row + row for row in self.b_kappa.data]
+        )
 
     def __repr__(self):
         return (
@@ -300,10 +306,9 @@ def build_system(ga, gb, kappa):
             a_rows[i][j] = 1
         for j in by_top.get(t.bottom, ()):
             b_rows[i][j] = 1
-    a_kappa, b_kappa = IntMatrix(a_rows), IntMatrix(b_rows)
     return TextileSystem(
-        graph_a=ga, graph_b=gb, kappa=kappa, tiles=tiles, omega=omega, a_kappa=a_kappa,
-        b_kappa=b_kappa, h_kappa=IntMatrix.block2(a_kappa, a_kappa, b_kappa, b_kappa),
+        graph_a=ga, graph_b=gb, kappa=kappa, tiles=tiles, omega=omega,
+        a_kappa=IntMatrix(a_rows), b_kappa=IntMatrix(b_rows),
     )
 
 

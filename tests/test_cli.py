@@ -385,6 +385,13 @@ def test_corpus_command(capsys):
     assert all(s["block_matrix_cross_check"] for s in report["systems"])
 
 
+def test_corpus_refuses_a_negative_count(capsys):
+    code, out, err = _run(capsys, ["corpus", "--count", "-5"])
+    assert code == 3
+    assert out == ""
+    assert err == "input error: circulant_pairs must be a nonnegative int, got -5\n"
+
+
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     path = _write(tmp_path, EXCHANGE_2_3)
     _, first, _ = _run(capsys, ["check", path])

@@ -46,6 +46,8 @@ DOCUMENT_COMMANDS = {
     "check-pretty-matrices": ["check", "--pretty", "--emit-matrices"],
     "kgroups": ["kgroups"],
     "tiles": ["tiles"],
+    "witness": ["witness", "0", "1"],
+    "kgroups-matrices": ["kgroups", "--emit-matrices"],
 }
 
 PLAIN_COMMANDS = {
@@ -56,6 +58,11 @@ PLAIN_COMMANDS = {
     "sweep-3-9": ["sweep", "3", "9"],
     "corpus": ["corpus"],
     "corpus-seed-7-count-30": ["corpus", "--seed", "7", "--count", "30"],
+    "closedform-3-5": ["closedform", "3", "5"],
+    "closedform-5-5": ["closedform", "5", "5"],
+    "closedform-pretty-4-9": ["closedform", "--pretty", "4", "9"],
+    "sweep-pretty-3-4": ["sweep", "--pretty", "3", "4"],
+    "corpus-count-0": ["corpus", "--count", "0"],
 }
 
 # case -> (SHA-256 of stdout, exit code)
@@ -105,6 +112,31 @@ GOLDEN = {
     "check-pretty-matrices:exchange-11-12": ("20d6b21d04561210e9603881ada4e8a0fb454b243d5daa4686a8d49d7e0cadcc", 0),
     "kgroups:exchange-11-12": ("a0933a43e49ac2fdc79ad3b39b3c4ecbe8db56540fd66b8665c97313595d5578", 0),
     "tiles:exchange-11-12": ("93ac8e82af8f03447e4e9afbf101b60ade24d519b45d8ee8bc9cb007226d7bfe", 0),
+    # the witness output, kgroups with H_k emitted, divisible Euclid traces
+    # other than (2, 3), pretty closedform and sweep, and an empty corpus draw
+    "witness:exchange-2-3": ("53c1a6434eba3205d1a1e3daab2fc0abbb5a4936e98dc413cf27c1a9e8fd6626", 0),
+    "kgroups-matrices:exchange-2-3": ("eda8c880b54f492602158313941902bd7d1bae2e208260624674b29d0f165af4", 0),
+    "witness:exchange-5-7": ("d29fbfccb5c52bb106682b66a896df453738fd65fe76f4878886ecd382e3c743", 0),
+    "kgroups-matrices:exchange-5-7": ("615c23d95c84b6982fde6fbc2a5ba4027ebd1db770b3cea83dcd7cc9cbd33390", 0),
+    "witness:identity-2": ("a7d1eda0bb786e17c18d9a5b48be51cde9cf3aed28fe743ac00fe4d1305db583", 0),
+    "kgroups-matrices:identity-2": ("d6518133fe09572711561e1dc78136a5ee1fa8498ed8b573227d201464414b0e", 0),
+    "witness:identity-3": ("aa919fb7b3a7d3b5d2e539a0817f87335ee6168bbe38da37fe5e0e4b8607076b", 0),
+    "kgroups-matrices:identity-3": ("17ddba322d4b4870c3da105f28ba343ff34ee20a30867f8c4b6b1c84405fa9dc", 0),
+    "witness:circulant-3": ("c71091abd6af1c8008d294996833e3bd31c0cf39da17e2a21869f1b545d767cd", 0),
+    "kgroups-matrices:circulant-3": ("aa51b4324378c03728383a727cd533d4c156a8b8f372cae3da734a5a2cb8e0d4", 0),
+    "witness:swap-ones": ("89b1593ae39b9f55ba99ef2a4e825dddf79064ddf112af7ce5c65032bb5e1741", 0),
+    "kgroups-matrices:swap-ones": ("83b97ff1352607ec313771bbce65b886e6e08588f36903352a3f440090c3264d", 0),
+    "witness:explicit-2-2": ("e1f00d62c339291ac7e9a7f07a6a03a07c5bcfe8f17f1e7153ccc2d6b041b645", 0),
+    "kgroups-matrices:explicit-2-2": ("8fdd36ca23732b25e8ca7a3aa5d038bea781e75f9a6494f0affaa243aa82a68b", 0),
+    "witness:exchange-9-12": ("b78b8087e02334c7b7d02c8fe9d1a41b795ed3993102173fe7d4d65c21625da1", 0),
+    "kgroups-matrices:exchange-9-12": ("90debdded567a7f01ee22cfd55fa1cccc8caec075234d0236f8ac3bf6c09a78b", 0),
+    "witness:exchange-11-12": ("7a9ceddd50c31c03b134e8471bb6e02b23c598ea4658fc24464d835374307ef3", 0),
+    "kgroups-matrices:exchange-11-12": ("c4d6dc4fda9e32897ad403e2c81d4f63ce3739da90d1df62817259dce589037d", 0),
+    "closedform-3-5": ("619a736905f2f4f3fe89844f6cde233192269ae2497d87aaf211d6ad41ba303e", 0),
+    "closedform-5-5": ("1fecd02720b82595f8b7f6f3b44188efab4263005aa7961a9aa101d59f6b2a8b", 0),
+    "closedform-pretty-4-9": ("ea267de632bc5733665a21b7c4e7fb4d085c03789ca5fe926239a95e6402060e", 0),
+    "sweep-pretty-3-4": ("eb1693dbe02d1e4fd7b004f33fee6be92a23b6c0cc7d2a34dd8388afe8b0d813", 0),
+    "corpus-count-0": ("dac795d0a13129838a9346385dd46f7b3181e544a4154d9b0c04d79cde1d5f88", 0),
 }
 
 

@@ -123,7 +123,7 @@ def test_invariant_factors_transpose_invariant():
     rng = random.Random(110)
     for _ in range(120):
         m = _random_matrix(rng)
-        assert smith_normal_form(m).diagonal == smith_normal_form(m.T).diagonal
+        assert smith_normal_form(m).diagonal == smith_normal_form(m.transpose()).diagonal
 
 
 def test_cokernel_examples():

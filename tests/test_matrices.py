@@ -32,7 +32,7 @@ def test_arithmetic_is_exact():
 
 def test_transpose_identity_ones():
     a = IntMatrix([[1, 2, 3], [4, 5, 6]])
-    assert a.T.to_lists() == [[1, 4], [2, 5], [3, 6]]
+    assert a.transpose().to_lists() == [[1, 4], [2, 5], [3, 6]]
     assert IntMatrix.identity(3).to_lists() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert IntMatrix.all_ones(2).to_lists() == [[1, 1], [1, 1]]
 
@@ -52,12 +52,6 @@ def test_kron_matches_block_description():
         [0, 0, 1, 1],
         [0, 0, 1, 1],
     ]
-
-
-def test_block2():
-    a = IntMatrix([[1]])
-    b = IntMatrix([[2]])
-    assert IntMatrix.block2(a, b, b, a).to_lists() == [[1, 2], [2, 1]]
 
 
 def test_det():

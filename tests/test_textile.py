@@ -3,6 +3,7 @@ import pytest
 from cktiles.corpus import circulant_matrix, standard_corpus
 from cktiles.errors import CommutationError, InputError, SpecificationError
 from cktiles.graph import graph_from_matrix
+from cktiles.ktheory import block_matrix_k0, kgroups_of_system
 from cktiles.matrices import IntMatrix
 from cktiles.textile import (
     Specification,
@@ -16,6 +17,12 @@ from cktiles.textile import (
     sigma_ab,
     sigma_ba,
     validate_specification,
+)
+from cktiles.tiling import (
+    check_diagonal_property,
+    find_transitivity_witness,
+    is_transitive_matrix,
+    is_transitive_search,
 )
 
 
@@ -276,7 +283,23 @@ def test_h_kappa_block_structure(corpus):
         h = sys_.h_kappa
         assert h.shape == (2 * n, 2 * n)
         a, b = sys_.a_kappa, sys_.b_kappa
-        assert h == IntMatrix.block2(a, a, b, b)
+        for i in range(n):
+            for j in range(n):
+                assert h[i, j] == h[i, n + j] == a[i, j], entry.label
+                assert h[n + i, j] == h[n + i, n + j] == b[i, j], entry.label
+
+
+def test_h_kappa_is_built_only_when_read():
+    sys_ = exchange_system(3, 4)
+    kgroups_of_system(sys_)
+    is_transitive_search(sys_)
+    is_transitive_matrix(sys_)
+    check_diagonal_property(sys_)
+    find_transitivity_witness(sys_, sys_.tiles[0], sys_.tiles[-1], 2 * len(sys_.omega))
+    assert "h_kappa" not in sys_.__dict__
+    block_matrix_k0(sys_)
+    assert "h_kappa" in sys_.__dict__
+    assert sys_.h_kappa is sys_.h_kappa
 
 
 def test_transition_matrices_essential(corpus):
@@ -313,3 +336,9 @@ def test_tiles_satisfy_endpoint_constraints(corpus):
             assert t.top.range == t.right.source
             assert t.left.range == t.bottom.source
             assert t.right.range == t.bottom.range
+
+
+@pytest.mark.parametrize("count", [-1, True])
+def test_standard_corpus_refuses_a_negative_or_bool_count(count):
+    with pytest.raises(InputError, match="nonnegative int"):
+        standard_corpus(circulant_pairs=count)
