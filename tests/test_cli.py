@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cktiles import graph, textile
+from cktiles import cli, graph, textile, tiling
 from cktiles.cli import main
 from cktiles.errors import InputError
+from cktiles.ktheory import AbelianGroup
 from cktiles.matrices import IntMatrix
 from cktiles.textile import canonical_system
 
@@ -260,10 +261,44 @@ def test_check_computes_each_input_fact_once(tmp_path, capsys, monkeypatch, payl
     rows = [m.to_lists() if isinstance(m, IntMatrix) else m for (m,) in essentiality]
     inputs = [payload["A"], payload["B"]]
     assert sorted(r for r in rows if r in inputs) == sorted(inputs)
-    # the third and last is the block matrix H_k, which condition (I) reuses
-    assert len(rows) == 3 and rows[2] not in inputs
+    # H_k is essential by construction, so A and B are the only matrices tested
+    assert len(rows) == 2
     assert len(reachability) == 1
     assert len(graphs) == 2
+
+
+def test_check_corpus_and_witness_rescan_no_fact_the_construction_proves(
+    tmp_path, capsys, monkeypatch
+):
+    calls = [
+        _count_calls(monkeypatch, home, name)
+        for home, name in (
+            (textile, "check_commutation"),
+            (graph, "satisfies_condition_I"),
+            (tiling, "check_diagonal_property"),
+            (tiling, "witness_is_valid"),
+        )
+    ]
+    for payload in _DOCUMENTS:
+        path = _write(tmp_path, payload)
+        assert _run(capsys, ["check", path])[0] == 0
+        assert _run(capsys, ["witness", "0", "1", path])[0] == 0
+    assert _run(capsys, ["corpus", "--count", "2"])[0] == 0
+    assert calls == [[], [], [], []]
+
+
+@pytest.mark.parametrize("command", ["check", "kgroups"])
+def test_failed_block_matrix_cross_check_exits_1_with_the_full_report(
+    tmp_path, capsys, monkeypatch, command
+):
+    path = _write(tmp_path, EXCHANGE_2_3)
+    expected = json.loads(_run(capsys, [command, path])[1])
+    monkeypatch.setattr(cli, "block_matrix_k0", lambda sys_: AbelianGroup(0, (2,)))
+    code, out, err = _run(capsys, [command, path])
+    assert (code, err) == (1, "")
+    expected["kgroups"]["k0_from_block_matrix"] = {"free_rank": 0, "torsion": [2], "text": "Z/2Z"}
+    expected["kgroups"]["block_matrix_cross_check"] = False
+    assert json.loads(out) == expected
 
 
 def test_kgroups_enumerates_composable_pairs_once(tmp_path, capsys, monkeypatch):

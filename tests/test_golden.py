@@ -13,6 +13,7 @@ import json
 import pytest
 
 from cktiles.cli import main
+from conftest import random_kappa_document
 
 
 def _circulant(n, shifts):
@@ -40,6 +41,17 @@ DOCUMENTS = {
     "exchange-9-12": {"A": [[9]], "B": [[12]], "kappa": "exchange"},
     "exchange-11-12": {"A": [[11]], "B": [[12]], "kappa": "exchange"},
 }
+
+# random specifications at scale (117 and 141 corner pairs): explicit kappa
+# documents far past explicit-2-2, on the commands that read the whole system
+SCALE_DOCUMENTS = {
+    "random-12-15": random_kappa_document([[12]], [[15]], seed=1),
+    "random-circulant-8": random_kappa_document(
+        _circulant(8, {0, 1, 3, 4, 6}), _circulant(8, {0, 1, 2, 5, 7}), seed=1
+    ),
+}
+
+SCALE_COMMANDS = ("check", "kgroups", "witness")
 
 DOCUMENT_COMMANDS = {
     "check": ["check"],
@@ -137,12 +149,23 @@ GOLDEN = {
     "closedform-pretty-4-9": ("ea267de632bc5733665a21b7c4e7fb4d085c03789ca5fe926239a95e6402060e", 0),
     "sweep-pretty-3-4": ("eb1693dbe02d1e4fd7b004f33fee6be92a23b6c0cc7d2a34dd8388afe8b0d813", 0),
     "corpus-count-0": ("dac795d0a13129838a9346385dd46f7b3181e544a4154d9b0c04d79cde1d5f88", 0),
+    # random explicit kappa at scale, recorded while check still rescanned
+    # commutation, essentiality, condition (I) and the diagonal property
+    "check:random-12-15": ("01581f1e7ca7f4289aaccc670cde42f5b36d7a21894840d2164f35dcf8905aca", 0),
+    "kgroups:random-12-15": ("55b8c3f395536416ccdb1ddace7e7e83deb9aa0222f55e84492e6978f2f21f5d", 0),
+    "witness:random-12-15": ("163631c84609c34f489aef1a5d7cf10c68f15db6227d57945fda5f4cd765ec43", 0),
+    "check:random-circulant-8": ("cea6b8a5038ed2795f582ac720be24e2bdd754df017c2e811c6b0f835d90e53f", 0),
+    "kgroups:random-circulant-8": ("1314f26395d143c74f4291582619eb4707a7965fe8573429b2dd742fcda0659a", 0),
+    "witness:random-circulant-8": ("b40f446d523b6a84d16efad0f2486088105c2389d7ed7206e610cc746f207005", 0),
 }
 
 
 def _cases():
     for doc in DOCUMENTS:
         for command in DOCUMENT_COMMANDS:
+            yield f"{command}:{doc}"
+    for doc in SCALE_DOCUMENTS:
+        for command in SCALE_COMMANDS:
             yield f"{command}:{doc}"
     yield from PLAIN_COMMANDS
 
@@ -153,7 +176,8 @@ def _outcome(case, tmp_path, capsys):
     else:
         command, doc = case.split(":")
         path = tmp_path / f"{doc}.json"
-        path.write_text(json.dumps(DOCUMENTS[doc]), encoding="utf-8")
+        document = DOCUMENTS[doc] if doc in DOCUMENTS else SCALE_DOCUMENTS[doc]
+        path.write_text(json.dumps(document), encoding="utf-8")
         argv = DOCUMENT_COMMANDS[command] + [str(path)]
     code = main(argv)
     out = capsys.readouterr().out

@@ -2,7 +2,7 @@ import pytest
 
 from cktiles.corpus import circulant_matrix, standard_corpus
 from cktiles.errors import CommutationError, InputError, SpecificationError
-from cktiles.graph import graph_from_matrix
+from cktiles.graph import graph_from_matrix, is_essential, satisfies_condition_I
 from cktiles.ktheory import block_matrix_k0, kgroups_of_system
 from cktiles.matrices import IntMatrix
 from cktiles.textile import (
@@ -326,6 +326,14 @@ def test_check_commutation_exchange_and_circulant():
 def test_check_commutation_full_corpus(corpus):
     for entry in corpus:
         assert check_commutation(entry.system), entry.label
+
+
+def test_random_specifications_meet_the_facts_check_states(random_family):
+    # the check report states these without computing them; see cli._check_payload
+    for sys_ in random_family:
+        assert check_commutation(sys_), sys_
+        assert is_essential(sys_.h_kappa), sys_
+        assert satisfies_condition_I(sys_.h_kappa), sys_
 
 
 def test_tiles_satisfy_endpoint_constraints(corpus):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cktiles import tiling
@@ -33,6 +35,20 @@ def test_diagonal_property_full_corpus(corpus):
     for entry in corpus:
         result = check_diagonal_property(entry.system)
         assert result.ok, entry.label
+
+
+def test_random_specifications_have_the_diagonal_property_and_valid_witnesses(random_family):
+    rng = random.Random(20)
+    found = 0
+    for sys_ in random_family:
+        assert check_diagonal_property(sys_).ok, sys_
+        for _ in range(5):
+            start, target = rng.choice(sys_.tiles), rng.choice(sys_.tiles)
+            witness = find_transitivity_witness(sys_, start, target, 2 * len(sys_.omega))
+            if witness is not None:
+                assert witness_is_valid(sys_, witness, start, target), sys_
+                found += 1
+    assert found > 200
 
 
 def test_diagonal_property_detects_corruption():
@@ -138,6 +154,7 @@ def _longest_pairwise_witness(sys_, max_steps):
             witness = find_transitivity_witness(sys_, start, target, max_steps)
             if witness is None:
                 return None
+            assert witness_is_valid(sys_, witness, start, target)
             longest = max(longest, len(witness.moves))
     return longest
 
