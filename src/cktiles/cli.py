@@ -11,6 +11,7 @@ error; 3 input error; 4 commutation error; 5 invalid specification.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -382,7 +383,9 @@ def cmd_corpus(args):
     return report, all_ok
 
 
+@functools.cache
 def build_parser():
+    """The one argument parser, built on first call; each cmd_* looks up its helpers when run."""
     parser = argparse.ArgumentParser(
         prog="cktiles",
         description="Tile systems from commuting matrices and their Cuntz-Krieger K-theory.",

@@ -1,18 +1,24 @@
 """Exact integer linear algebra for K-group computations.
 
-The K-groups of the Cuntz-Krieger algebra attached to a built tile system are
-    K0 = Z^n / (A_k + B_k - I_n) Z^n     (cokernel)
-    K1 = Ker(A_k + B_k - I_n) in Z^n     (always free)
-with n the number of corner pairs.  Both are read off the invariant factors
-of one integer matrix.  :func:`cokernel` finds them in two steps:
+The K-groups of the Cuntz-Krieger algebra of a built tile system are the
+cokernel K0 and the (free) kernel K1 of A_k + B_k - I_n, n the number of
+corner pairs.  Here A_k + B_k = RL: R (n x m) has a 1 at corner pair
+(alpha, a) and each right and bottom edge of a tile there, L (m x n) at edge
+e and each corner pair with left or top edge e, m = |E_B| + |E_A|.  Block
+moves on [[I_n, R], [L, I_m]] reduce it to diag(I_n - RL, I_m) and to
+diag(I_n, I_m - LR), so both groups are read off the m x m matrix LR - I_m:
+the Bowen-Franks group is invariant under elementary strong shift
+equivalence (Williams, Ann. Math. 1973; Bowen and Franks, Ann. Math. 1977).
+Tile (alpha, b, a, beta) adds 1 to LR at rows {a, alpha} x columns {b, beta};
+for exchange(N, M), LR - I_m is [[(N-1) I_M, J], [J, (M-1) I_N]], J all ones.
+:func:`cokernel` finds the invariant factors in two steps:
 
 (a) the +-1 pivots are eliminated sparsely, each taken from the shortest
     row that holds one; each gives the factor 1, and what is left is a
-    square core, 19 x 19 for the n = 108 matrix of exchange(9, 12);
+    square core, 19 x 19 for the 21 x 21 matrix of exchange(9, 12);
 (b) one fraction-free elimination gives the core's rank r and a nonzero
     r x r minor D, and the core is diagonalised over Z/DZ, so no entry
-    ever exceeds D, whether the core is singular (K1 nonzero for
-    A_k + B_k - I_n) or not.
+    ever exceeds D, whether the core is singular (K1 nonzero) or not.
 
 :func:`canonicalize` is the one way a list of cyclic orders, the cokernel's
 or the closed form's, becomes an :class:`AbelianGroup`; it factors nothing.
@@ -412,22 +418,41 @@ def canonicalize(summands):
 def kgroups_of_system(sys):
     """K0 and K1 of the Cuntz-Krieger algebra of a built tile system.
 
-    K0 is the cokernel and K1 the kernel of A_k + B_k - I_n.  One Smith
-    diagonalisation gives both: the kernel of a square matrix has the rank
-    of its cokernel's free part.  The block-matrix presentation of K0 is
-    not recomputed here; see :func:`block_matrix_k0`.
+    K0 is the cokernel and K1 the kernel of LR - I_m (see the module
+    docstring).  One Smith diagonalisation gives both: the kernel of a square
+    matrix has the rank of its cokernel's free part.  The block-matrix
+    presentation of K0 is not recomputed here; see :func:`block_matrix_k0`.
     """
-    n = len(sys.omega)
-    k0 = cokernel(sys.a_kappa + sys.b_kappa - IntMatrix.identity(n))
+    edges = sys.graph_b.edges + sys.graph_a.edges
+    index = {e: i for i, e in enumerate(edges)}
+    m = len(edges)
+    rows = [[-int(i == j) for j in range(m)] for i in range(m)]
+    for t in sys.tiles:
+        right, bottom = index[t.right], index[t.bottom]
+        for i in (index[t.left], index[t.top]):
+            rows[i][right] += 1
+            rows[i][bottom] += 1
+    k0 = cokernel(IntMatrix(rows))
     return KGroups(k0=k0, k1=AbelianGroup(free_rank=k0.free_rank))
 
 
 def block_matrix_k0(sys):
     """K0 through the doubled block matrix H: the cokernel of I_2n - H^T.
 
-    Equal to ``kgroups_of_system(sys).k0``.  The CLI's check, kgroups and
+    Equal to ``kgroups_of_system(sys).k0``, by an independent presentation on
+    the corner pairs.  Rows j and n + j of H^T are column j of A_k over column
+    j of B_k, read off the tiles' successors.  The CLI's check, kgroups and
     corpus reports and the tests compare the two; the library's K-group path
     does not pay for this 2n x 2n Smith form.
     """
     n = len(sys.omega)
-    return cokernel(IntMatrix.identity(2 * n) - sys.h_kappa.transpose())
+    rows = [[0] * (2 * n) for _ in range(n)]
+    for i, right, below in sys.successors:
+        for j in right:
+            rows[j][i] = -1
+        for j in below:
+            rows[j][n + i] = -1
+    rows += [row[:] for row in rows]
+    for j in range(2 * n):
+        rows[j][j] += 1
+    return cokernel(IntMatrix(rows))

@@ -72,12 +72,12 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class TextileSystem:
-    """A built tile system with its transition matrices.
+    """A built tile system: tiles and corner pairs, with matrices derived on read.
 
     ``omega`` lists the (top, left) corners of tiles in lexicographic order of
-    edge positions; ``a_kappa`` and ``b_kappa`` are the horizontal and
-    vertical {0,1} transition matrices indexed by ``omega``.  The doubled
-    block matrix ``h_kappa`` is derived from them on first read.
+    edge positions.  The {0,1} transition matrices ``a_kappa`` (horizontal)
+    and ``b_kappa`` (vertical) on ``omega`` and the block matrix ``h_kappa``
+    are dense, so each is built on first read; the K-groups read none of them.
     """
 
     graph_a: object
@@ -85,8 +85,39 @@ class TextileSystem:
     kappa: Specification
     tiles: tuple
     omega: tuple
-    a_kappa: IntMatrix
-    b_kappa: IntMatrix
+
+    @cached_property
+    def successors(self):
+        """(i, right, below) per tile: its corner pair's index in ``omega`` and
+        those of the corner pairs whose left edge is its right edge (A_k's 1s in
+        row i) and whose top edge is its bottom edge (B_k's 1s in row i)."""
+        row_of = {corner: i for i, corner in enumerate(self.omega)}
+        by_top, by_left = {}, {}
+        for j, (top, left) in enumerate(self.omega):
+            by_top.setdefault(top, []).append(j)
+            by_left.setdefault(left, []).append(j)
+        return tuple(
+            (row_of[(t.top, t.left)], by_left.get(t.right, ()), by_top.get(t.bottom, ()))
+            for t in self.tiles
+        )
+
+    def _transition_matrix(self, vertical):
+        n = len(self.omega)
+        rows = [[0] * n for _ in range(n)]
+        for i, right, below in self.successors:
+            for j in below if vertical else right:
+                rows[i][j] = 1
+        return IntMatrix(rows)
+
+    @cached_property
+    def a_kappa(self):
+        """A_k: 1 at ((alpha, a), (delta, b)) iff kappa(alpha, b) = (a, beta) for some beta."""
+        return self._transition_matrix(vertical=False)
+
+    @cached_property
+    def b_kappa(self):
+        """B_k: 1 at ((alpha, a), (beta, d)) iff kappa(alpha, b) = (a, beta) for some b."""
+        return self._transition_matrix(vertical=True)
 
     @cached_property
     def h_kappa(self):
@@ -272,15 +303,7 @@ def validate_specification(kappa, ga, gb):
 
 
 def build_system(ga, gb, kappa):
-    """Assemble tiles, corner pairs and transition matrices from a specification.
-
-    The horizontal matrix has entry 1 at ((alpha, a), (delta, b)) iff
-    kappa(alpha, b) = (a, beta) for some beta; the vertical matrix has entry 1
-    at ((alpha, a), (beta, d)) iff kappa(alpha, b) = (a, beta) for some b.
-    So tile (alpha, b, a, beta) puts a 1 in row (alpha, a) of A_k at every
-    corner pair whose left edge is b, and of B_k at every corner pair whose
-    top edge is beta; Omega is indexed by both edges once.
-    """
+    """Assemble the tiles and the corner pairs; no matrix is built (see TextileSystem)."""
     report = validate_specification(kappa, ga, gb)
     if not report.ok:
         raise SpecificationError(f"{report.failure}: {report.detail}")
@@ -292,24 +315,7 @@ def build_system(ga, gb, kappa):
     omega = tuple(
         sorted(corner_set, key=lambda p: (ga.position(p[0]), gb.position(p[1])))
     )
-    n = len(omega)
-    row_of = {corner: i for i, corner in enumerate(omega)}
-    by_top, by_left = {}, {}
-    for j, (top, left) in enumerate(omega):
-        by_top.setdefault(top, []).append(j)
-        by_left.setdefault(left, []).append(j)
-    a_rows = [[0] * n for _ in range(n)]
-    b_rows = [[0] * n for _ in range(n)]
-    for t in tiles:
-        i = row_of[(t.top, t.left)]
-        for j in by_left.get(t.right, ()):
-            a_rows[i][j] = 1
-        for j in by_top.get(t.bottom, ()):
-            b_rows[i][j] = 1
-    return TextileSystem(
-        graph_a=ga, graph_b=gb, kappa=kappa, tiles=tiles, omega=omega,
-        a_kappa=IntMatrix(a_rows), b_kappa=IntMatrix(b_rows),
-    )
+    return TextileSystem(graph_a=ga, graph_b=gb, kappa=kappa, tiles=tiles, omega=omega)
 
 
 def check_commutation(sys):

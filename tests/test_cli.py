@@ -301,6 +301,29 @@ def test_failed_block_matrix_cross_check_exits_1_with_the_full_report(
     assert json.loads(out) == expected
 
 
+def _outcomes(tmp_path, capsys):
+    """Exit code, stdout and stderr of a good, a bad, a document and a help call."""
+    path = _write(tmp_path, EXCHANGE_2_3)
+    outcomes = []
+    for argv in (["closedform", "2", "3"], ["closedform", "2"], ["kgroups", path], ["--help"]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on a usage error and on --help
+            code = exc.code
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+def test_parser_built_once_answers_like_a_fresh_one(tmp_path, capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    once = _outcomes(tmp_path, capsys)
+    assert [code for code, _, _ in once] == [0, 2, 0, 0]
+    assert once[1][2].startswith("usage: cktiles closedform")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert _outcomes(tmp_path, capsys) == once
+
+
 def test_kgroups_enumerates_composable_pairs_once(tmp_path, capsys, monkeypatch):
     pairs_ab = _count_calls(monkeypatch, textile, "sigma_ab")
     pairs_ba = _count_calls(monkeypatch, textile, "sigma_ba")

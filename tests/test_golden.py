@@ -53,6 +53,11 @@ SCALE_DOCUMENTS = {
 
 SCALE_COMMANDS = ("check", "kgroups", "witness")
 
+# exchange(20, 20), n = 400, on the command that computes both K0 presentations
+LARGE_DOCUMENTS = {"exchange-20-20": {"A": [[20]], "B": [[20]], "kappa": "exchange"}}
+
+LARGE_COMMANDS = ("kgroups",)
+
 DOCUMENT_COMMANDS = {
     "check": ["check"],
     "check-pretty-matrices": ["check", "--pretty", "--emit-matrices"],
@@ -75,6 +80,8 @@ PLAIN_COMMANDS = {
     "closedform-pretty-4-9": ["closedform", "--pretty", "4", "9"],
     "sweep-pretty-3-4": ["sweep", "--pretty", "3", "4"],
     "corpus-count-0": ["corpus", "--count", "0"],
+    "closedform-40-40": ["closedform", "40", "40"],
+    "sweep-12-14": ["sweep", "12", "14"],
 }
 
 # case -> (SHA-256 of stdout, exit code)
@@ -157,6 +164,11 @@ GOLDEN = {
     "check:random-circulant-8": ("cea6b8a5038ed2795f582ac720be24e2bdd754df017c2e811c6b0f835d90e53f", 0),
     "kgroups:random-circulant-8": ("1314f26395d143c74f4291582619eb4707a7965fe8573429b2dd742fcda0659a", 0),
     "witness:random-circulant-8": ("b40f446d523b6a84d16efad0f2486088105c2389d7ed7206e610cc746f207005", 0),
+    # recorded while K0 was still the cokernel of the n x n matrix
+    # A_k + B_k - I_n, before the (|E_A| + |E_B|)-square edge presentation
+    "closedform-40-40": ("34742f419c4e62f863f1890c197d561847f7d5c0403c6f7bcbdb33d7bac69bec", 0),
+    "sweep-12-14": ("385d93d913b17520b36428a36598a01ad7b78f2071120b2faebe4084ba227070", 0),
+    "kgroups:exchange-20-20": ("ff72bda9acc941a3623590e4e35e70892b394ed008b627c173e9a9566c347ee9", 0),
 }
 
 
@@ -167,6 +179,9 @@ def _cases():
     for doc in SCALE_DOCUMENTS:
         for command in SCALE_COMMANDS:
             yield f"{command}:{doc}"
+    for doc in LARGE_DOCUMENTS:
+        for command in LARGE_COMMANDS:
+            yield f"{command}:{doc}"
     yield from PLAIN_COMMANDS
 
 
@@ -176,7 +191,7 @@ def _outcome(case, tmp_path, capsys):
     else:
         command, doc = case.split(":")
         path = tmp_path / f"{doc}.json"
-        document = DOCUMENTS[doc] if doc in DOCUMENTS else SCALE_DOCUMENTS[doc]
+        document = {**DOCUMENTS, **SCALE_DOCUMENTS, **LARGE_DOCUMENTS}[doc]
         path.write_text(json.dumps(document), encoding="utf-8")
         argv = DOCUMENT_COMMANDS[command] + [str(path)]
     code = main(argv)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cktiles import ktheory
 from cktiles.closedform import closed_form_kgroups
-from cktiles.corpus import standard_corpus
+from cktiles.corpus import circulant_matrix, standard_corpus
 from cktiles.errors import InputError, OracleScaleError
 from cktiles.ktheory import (
     AbelianGroup,
@@ -21,6 +21,7 @@ from cktiles.ktheory import (
 )
 from cktiles.matrices import IntMatrix
 from cktiles.textile import exchange_system
+from conftest import random_system
 
 
 def _random_matrix(rng, max_dim=6, bound=9):
@@ -287,18 +288,71 @@ def test_abelian_group_validation_and_text():
     assert AbelianGroup(free_rank=1).order() is None
 
 
-def test_theorem_cross_check_on_corpus(corpus):
-    for entry in corpus:
-        sys_ = entry.system
+def test_theorem_cross_check_on_corpus(corpus, random_family):
+    labelled = [(e.label, e.system) for e in corpus] + [(repr(s), s) for s in random_family]
+    for label, sys_ in labelled:
         n = len(sys_.omega)
         core = sys_.a_kappa + sys_.b_kappa - IntMatrix.identity(n)
         k0 = cokernel(core)
         k0_from_block = cokernel(
             IntMatrix.identity(2 * n) - sys_.h_kappa.transpose()
         )
-        assert k0 == k0_from_block, entry.label
+        assert k0 == k0_from_block, label
         # kgroups_of_system no longer compares the two routes itself
-        assert kgroups_of_system(sys_).k0 == k0 == block_matrix_k0(sys_), entry.label
+        assert kgroups_of_system(sys_).k0 == k0 == block_matrix_k0(sys_), label
+
+
+def _edge_factors(sys_):
+    """R (n x m) and L (m x n) with A_k + B_k = RL, from their definitions.
+
+    The m edges are the B-edges, then the A-edges.  R has a 1 at corner pair
+    (alpha, a) and edge e when a tile at (alpha, a) has right or bottom edge
+    e; L has a 1 at edge e and corner pair (gamma, c) when c = e or gamma = e.
+    """
+    edges = sys_.graph_b.edges + sys_.graph_a.edges
+    ends = {}
+    for t in sys_.tiles:
+        ends.setdefault((t.top, t.left), set()).update((t.right, t.bottom))
+    r = IntMatrix([[int(e in ends[corner]) for e in edges] for corner in sys_.omega])
+    l = IntMatrix([[int(e in corner) for corner in sys_.omega] for e in edges])
+    return r, l
+
+
+def _presented(monkeypatch, k0_of, sys_):
+    """The one matrix whose cokernel ``k0_of(sys_)`` takes."""
+    seen = []
+
+    def captured(m):
+        seen.append(m)
+        return AbelianGroup(free_rank=0)
+
+    monkeypatch.setattr(ktheory, "cokernel", captured)
+    k0_of(sys_)
+    (matrix,) = seen
+    return matrix
+
+
+def test_both_k0_presentations_are_the_stated_matrices(monkeypatch, random_family):
+    # the edge presentation is LR - I_m, the cross-check I_2n - H_k^T
+    # entry by entry, on every family the groups are compared on
+    systems = [exchange_system(n, m) for n in range(2, 9) for m in range(n, 9)]
+    systems += [e.system for e in standard_corpus(seed=1302, circulant_pairs=40)]
+    systems += random_family
+    systems += [
+        random_system([[12]], [[15]], seed=1),
+        random_system(
+            circulant_matrix(8, (0, 1, 3, 4, 6)), circulant_matrix(8, (0, 1, 2, 5, 7)), seed=1
+        ),
+    ]
+    assert [len(s.omega) for s in systems[-2:]] == [117, 141]
+    for sys_ in systems:
+        r, l = _edge_factors(sys_)
+        assert r @ l == sys_.a_kappa + sys_.b_kappa, sys_
+        edge_matrix = _presented(monkeypatch, kgroups_of_system, sys_)
+        assert edge_matrix == l @ r - IntMatrix.identity(l.rows), sys_
+        block = _presented(monkeypatch, block_matrix_k0, sys_)
+        n = len(sys_.omega)
+        assert block == IntMatrix.identity(2 * n) - sys_.h_kappa.transpose(), sys_
 
 
 def test_block_matrix_k0_matches_kgroups_on_exchange_pairs():

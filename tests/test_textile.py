@@ -1,5 +1,7 @@
 import pytest
 
+from cktiles import closedform
+from cktiles.closedform import verify_closed_form
 from cktiles.corpus import circulant_matrix, standard_corpus
 from cktiles.errors import CommutationError, InputError, SpecificationError
 from cktiles.graph import graph_from_matrix, is_essential, satisfies_condition_I
@@ -289,17 +291,31 @@ def test_h_kappa_block_structure(corpus):
                 assert h[n + i, j] == h[n + i, n + j] == b[i, j], entry.label
 
 
-def test_h_kappa_is_built_only_when_read():
+def test_dense_matrices_are_built_only_when_read(monkeypatch):
+    dense = ("a_kappa", "b_kappa", "h_kappa")
     sys_ = exchange_system(3, 4)
     kgroups_of_system(sys_)
+    block_matrix_k0(sys_)
     is_transitive_search(sys_)
-    is_transitive_matrix(sys_)
     check_diagonal_property(sys_)
     find_transitivity_witness(sys_, sys_.tiles[0], sys_.tiles[-1], 2 * len(sys_.omega))
+    built = []
+
+    def recorded(n, m):
+        built.append(exchange_system(n, m))
+        return built[-1]
+
+    monkeypatch.setattr(closedform, "exchange_system", recorded)
+    verify_closed_form(3, 4)
+    assert len(built) == 1
+    for system in (sys_, *built):
+        assert not [name for name in dense if name in system.__dict__]
+    # the matrix criterion reads A_k + B_k but never H_k
+    is_transitive_matrix(sys_)
     assert "h_kappa" not in sys_.__dict__
-    block_matrix_k0(sys_)
-    assert "h_kappa" in sys_.__dict__
-    assert sys_.h_kappa is sys_.h_kappa
+    for name in dense:
+        assert getattr(sys_, name) is getattr(sys_, name)
+        assert name in sys_.__dict__
 
 
 def test_transition_matrices_essential(corpus):
