@@ -150,7 +150,11 @@ def _check_payload(sys_):
       pair, and by its (left, bottom) pair, its image, so each diagonal pair
       has at most one tile below and one beside.
     """
-    unreachable = unreachable_pair(sys_.a_kappa + sys_.b_kappa)
+    successors = [[] for _ in sys_.omega]  # A_k + B_k's 1s per row, off the tiles
+    for i, right, below in sys_.successors:
+        successors[i] += right
+        successors[i] += below
+    unreachable = unreachable_pair(successors)
     transitive = unreachable is None
     if transitive:
         transitive_detail = "A_k + B_k is irreducible"

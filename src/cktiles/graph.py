@@ -117,23 +117,25 @@ def _support_successors(rows):
     return [[j for j, x in enumerate(row) if x] for row in rows]
 
 
-def unreachable_pair(matrix):
+def unreachable_pair(successors):
     """A witness (p, q) of 0-based vertices with no path from p to q, or None.
 
-    None means the matrix is irreducible.  Two breadth-first searches from
-    vertex 0, along the edges and against them, find the first vertex q
-    that 0 cannot reach, giving (0, q), or else the first that cannot reach
-    0, giving (q, 0).  When both reach everything the digraph is strongly
-    connected, which is irreducibility except for a loopless single vertex;
-    its witness is (0, 0).
+    ``successors[i]`` lists the heads of the edges out of vertex i; repeats
+    are harmless.  None means the digraph is irreducible.  Two breadth-first
+    searches from vertex 0, along the edges and against them, find the first
+    vertex q that 0 cannot reach, giving (0, q), or else the first that
+    cannot reach 0, giving (q, 0).  When both reach everything the digraph
+    is strongly connected, which is irreducibility except for a loopless
+    single vertex; its witness is (0, 0).
     """
-    rows = _square_rows(matrix)
-    n = len(rows)
+    n = len(successors)
     if n == 0:
         raise InputError("reachability needs at least one vertex")
-    succ = _support_successors(rows)
-    pred = [[i for i in range(n) if rows[i][j]] for j in range(n)]
-    for adjacency, forward in ((succ, True), (pred, False)):
+    pred = [[] for _ in range(n)]
+    for i, heads in enumerate(successors):
+        for j in heads:
+            pred[j].append(i)
+    for adjacency, forward in ((successors, True), (pred, False)):
         seen = {0}
         frontier = deque([0])
         while frontier:
@@ -144,7 +146,7 @@ def unreachable_pair(matrix):
         for q in range(n):
             if q not in seen:
                 return (0, q) if forward else (q, 0)
-    return None if n > 1 or rows[0][0] else (0, 0)
+    return None if n > 1 or 0 in successors[0] else (0, 0)
 
 
 def is_irreducible(matrix):
@@ -152,10 +154,10 @@ def is_irreducible(matrix):
 
     Equivalently: the support digraph is strongly connected (and the single
     vertex carries a loop in the 1x1 case), so :func:`unreachable_pair`
-    finds no witness.
+    finds no witness in its successor lists.
     """
     rows = _square_rows(matrix)
-    return bool(rows) and unreachable_pair(rows) is None
+    return bool(rows) and unreachable_pair(_support_successors(rows)) is None
 
 
 def satisfies_condition_I(matrix):

@@ -10,7 +10,9 @@ w' is a chain of Right/Down moves, using at least one of each, that ends on a
 tile sharing the (top, left) corner of w'.  The diagonal property extends such
 a staircase to a full plane configuration, so a finite witness is the
 computational meaning of "both tiles occur in one configuration with the
-second strictly right-and-below the first".
+second strictly right-and-below the first".  :func:`is_transitive_search`
+asks this of every pair at once by sweeping tile bitsets level by level;
+:func:`find_transitivity_witness` builds one witness by breadth-first search.
 """
 
 from collections import defaultdict, deque
@@ -166,18 +168,6 @@ def is_transitive_matrix(sys):
     return is_irreducible(sys.a_kappa + sys.b_kappa)
 
 
-def _successor_maps(sys):
-    """Tile-level Right and Down successor lists, by tile index."""
-    by_left = defaultdict(list)
-    by_top = defaultdict(list)
-    for idx, t in enumerate(sys.tiles):
-        by_left[t.left].append(idx)
-        by_top[t.top].append(idx)
-    right_succ = [by_left.get(t.right, []) for t in sys.tiles]
-    down_succ = [by_top.get(t.bottom, []) for t in sys.tiles]
-    return right_succ, down_succ
-
-
 def witness_is_valid(sys, witness, start, target):
     """Re-verify a staircase witness link by link, independently of the search."""
     if witness.start != start or witness.start not in sys.tiles:
@@ -208,13 +198,21 @@ def witness_is_valid(sys, witness, start, target):
     return (current.top, current.left) == (target.top, target.left)
 
 
-def _staircase_bfs(sys, start_idx, max_steps, right_succ, down_succ, goal_corner=None):
+def _require_bound(max_steps):
+    if type(max_steps) is not int or max_steps < 1:
+        raise InputError(f"max_steps must be a positive int, got {max_steps!r}")
+
+
+def _staircase_bfs(sys, start_idx, max_steps, goal_corner):
     """Breadth-first search over (tile index, saw-a-Right, saw-a-Down) states.
 
     Returns the parent map and the first state with both flags set whose tile
-    has the (top, left) corner ``goal_corner``, or None; without a goal corner
-    the search runs to ``max_steps`` and the map holds every state reached.
+    has the (top, left) corner ``goal_corner``, or None.
     """
+    by_left, by_top = defaultdict(list), defaultdict(list)
+    for idx, t in enumerate(sys.tiles):
+        by_left[t.left].append(idx)
+        by_top[t.top].append(idx)
     start_state = (start_idx, False, False)
     parents = {start_state: None}
     frontier = deque([(start_state, 0)])
@@ -226,8 +224,8 @@ def _staircase_bfs(sys, start_idx, max_steps, right_succ, down_succ, goal_corner
             return parents, state
         if depth == max_steps:
             continue
-        steps = [((nxt, True, saw_d), RIGHT) for nxt in right_succ[idx]]
-        steps += [((nxt, saw_r, True), DOWN) for nxt in down_succ[idx]]
+        steps = [((nxt, True, saw_d), RIGHT) for nxt in by_left[tile.right]]
+        steps += [((nxt, saw_r, True), DOWN) for nxt in by_top[tile.bottom]]
         for ns, move in steps:
             if ns not in parents:
                 parents[ns] = (state, move)
@@ -244,41 +242,71 @@ def find_transitivity_witness(sys, start, target, max_steps):
     result, not an error.  Every link is read off the successor maps, so the
     witness is valid as built; :func:`witness_is_valid` re-verifies it in tests.
     """
-    if max_steps < 1:
-        raise InputError("max_steps must be positive")
+    _require_bound(max_steps)
     tile_index = {t: i for i, t in enumerate(sys.tiles)}
     if start not in tile_index or target not in tile_index:
         raise InputError("both tiles must belong to the system's tile set")
-    right_succ, down_succ = _successor_maps(sys)
-    parents, goal = _staircase_bfs(
-        sys, tile_index[start], max_steps, right_succ, down_succ, (target.top, target.left)
-    )
+    parents, goal = _staircase_bfs(sys, tile_index[start], max_steps, (target.top, target.left))
     if goal is None:
         return None
-    moves = []
-    tiles = []
-    state = goal
-    while parents[state] is not None:
-        prev, move = parents[state]
-        moves.append(move)
-        tiles.append(sys.tiles[state[0]])
-        state = prev
-    moves.reverse()
-    tiles.reverse()
-    rights = sum(1 for m in moves if m == RIGHT)
-    downs = len(moves) - rights
+    path = []
+    while parents[goal] is not None:
+        prev, move = parents[goal]
+        path.append((move, sys.tiles[goal[0]]))
+        goal = prev
+    moves, tiles = zip(*reversed(path))  # nonempty: the goal saw both moves
+    rights = moves.count(RIGHT)
     return StaircaseWitness(
-        start=start, moves=tuple(moves), tiles=tuple(tiles), end_position=(rights, -downs)
+        start=start, moves=moves, tiles=tiles, end_position=(rights, rights - len(moves))
     )
+
+
+def _step(masks, tiles):
+    """The tiles one move away from the tile bitset ``tiles``, given the
+    (leaving, entering) tile bitsets of each edge."""
+    reached = 0
+    for leaving, entering in masks:
+        if leaving & tiles:
+            reached |= entering
+    return reached
+
+
+def _staircase_sweep(start_idx, max_steps, right, down, corners):
+    """True iff the states with both flags set reached from ``start_idx`` within
+    ``max_steps`` moves meet every tile bitset in ``corners``.
+
+    Each layer of states (saw a Right, a Down, or both) is swept level by level
+    as a visited and a new tile bitset; a state joins its layer at its
+    breadth-first distance.  The start, with neither flag, is in level 0 only.
+    """
+    first = 1 << start_idx
+    seen_r = seen_d = seen_rd = new_r = new_d = new_rd = 0
+    for _ in range(max_steps):
+        new_r, new_d, new_rd = (
+            _step(right, first | new_r) & ~seen_r,
+            _step(down, first | new_d) & ~seen_d,
+            (_step(right, new_d | new_rd) | _step(down, new_r | new_rd)) & ~seen_rd,
+        )
+        first = 0
+        seen_r, seen_d, seen_rd = seen_r | new_r, seen_d | new_d, seen_rd | new_rd
+        corners = [c for c in corners if not c & new_rd]
+        if not corners:
+            return True
+        if not (new_r or new_d or new_rd):
+            return False
+    return False
 
 
 def is_transitive_search(sys, max_steps=None):
     """True iff every ordered pair of tiles admits a staircase witness.
 
-    One breadth-first search per start tile, over successor maps built once,
-    covers every target at once: w' has a witness within ``max_steps`` moves
-    exactly when a state with both flags set reached within them has the
-    (top, left) corner of w'.
+    w' has a witness within ``max_steps`` moves exactly when a state with both
+    flags set reached within them has the (top, left) corner of w', so one
+    sweep per start covers every target.  The sweep moves tile bitsets (bit k
+    for tile k) across edges, Right from right edge to left edge and Down from
+    bottom edge to top edge, and reaches the states that the breadth-first
+    search of :func:`find_transitivity_witness` reaches: the answer is the
+    same at every bound.
 
     The default bound of twice the number of corner pairs is enough for the
     search to agree with the matrix criterion: positivity of an irreducible
@@ -287,15 +315,17 @@ def is_transitive_search(sys, max_steps=None):
     """
     if max_steps is None:
         max_steps = 2 * len(sys.omega)
-    if max_steps < 1:
-        raise InputError("max_steps must be positive")
-    right_succ, down_succ = _successor_maps(sys)
-    corner = [(t.top, t.left) for t in sys.tiles]
-    for start_idx in range(len(sys.tiles)):
-        parents, _ = _staircase_bfs(sys, start_idx, max_steps, right_succ, down_succ)
-        if set(corner) - {corner[i] for i, saw_r, saw_d in parents if saw_r and saw_d}:
-            return False
-    return True
+    _require_bound(max_steps)
+    right, down = defaultdict(lambda: [0, 0]), defaultdict(lambda: [0, 0])
+    corners = defaultdict(int)
+    for k, t in enumerate(sys.tiles):
+        right[t.right][0] |= 1 << k
+        right[t.left][1] |= 1 << k
+        down[t.bottom][0] |= 1 << k
+        down[t.top][1] |= 1 << k
+        corners[(t.top, t.left)] |= 1 << k
+    masks = (tuple(right.values()), tuple(down.values()), list(corners.values()))
+    return all(_staircase_sweep(k, max_steps, *masks) for k in range(len(sys.tiles)))
 
 
 def extend_patch(sys, patch, position):

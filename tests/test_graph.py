@@ -86,13 +86,20 @@ def test_is_irreducible_examples():
     assert not is_irreducible([[0]])
 
 
+def _successor_lists(rows):
+    return [[j for j, x in enumerate(row) if x] for row in rows]
+
+
 def test_unreachable_pair_examples():
-    assert unreachable_pair([[0, 1], [1, 0]]) is None
-    assert unreachable_pair([[2]]) is None
-    assert unreachable_pair([[0]]) == (0, 0)
-    assert unreachable_pair([[1, 0], [0, 1]]) == (0, 1)
-    assert unreachable_pair([[1, 1], [0, 1]]) == (1, 0)
-    assert unreachable_pair([[0, 1, 0], [0, 0, 1], [0, 1, 0]]) == (1, 0)
+    # successor lists of [[0, 1], [1, 0]], [[2]], [[0]], [[1, 0], [0, 1]],
+    # [[1, 1], [0, 1]] and [[0, 1, 0], [0, 0, 1], [0, 1, 0]]
+    assert unreachable_pair([[1], [0]]) is None
+    assert unreachable_pair([[0]]) is None
+    assert unreachable_pair([[]]) == (0, 0)
+    assert unreachable_pair([[0], [1]]) == (0, 1)
+    assert unreachable_pair([[0, 1], [1]]) == (1, 0)
+    assert unreachable_pair([[1], [2], [1]]) == (1, 0)
+    assert unreachable_pair([[1, 1], [0, 0, 1]]) is None  # repeated heads
     with pytest.raises(InputError):
         unreachable_pair([])
 
@@ -140,7 +147,7 @@ def test_irreducibility_implementations_agree():
         m = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
         irreducible = is_irreducible(m)
         assert irreducible == is_irreducible_by_powers(m), m
-        witness = unreachable_pair(m)
+        witness = unreachable_pair(_successor_lists(m))
         assert (witness is None) == irreducible, m
         if witness is not None:
             witnesses += 1

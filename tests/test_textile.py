@@ -1,6 +1,6 @@
 import pytest
 
-from cktiles import closedform
+from cktiles import cli, closedform
 from cktiles.closedform import verify_closed_form
 from cktiles.corpus import circulant_matrix, standard_corpus
 from cktiles.errors import CommutationError, InputError, SpecificationError
@@ -294,8 +294,12 @@ def test_h_kappa_block_structure(corpus):
 def test_dense_matrices_are_built_only_when_read(monkeypatch):
     dense = ("a_kappa", "b_kappa", "h_kappa")
     sys_ = exchange_system(3, 4)
+    reducible = canonical_system([[1, 0], [0, 1]], [[1, 0], [0, 1]])
     kgroups_of_system(sys_)
     block_matrix_k0(sys_)
+    # everything `check` and `corpus` compute, reachability included
+    assert cli._check_payload(sys_)[0]["checks"]["transitive"]["ok"]
+    assert not cli._check_payload(reducible)[0]["checks"]["transitive"]["ok"]
     is_transitive_search(sys_)
     check_diagonal_property(sys_)
     find_transitivity_witness(sys_, sys_.tiles[0], sys_.tiles[-1], 2 * len(sys_.omega))
@@ -308,7 +312,7 @@ def test_dense_matrices_are_built_only_when_read(monkeypatch):
     monkeypatch.setattr(closedform, "exchange_system", recorded)
     verify_closed_form(3, 4)
     assert len(built) == 1
-    for system in (sys_, *built):
+    for system in (sys_, reducible, *built):
         assert not [name for name in dense if name in system.__dict__]
     # the matrix criterion reads A_k + B_k but never H_k
     is_transitive_matrix(sys_)

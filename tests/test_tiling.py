@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cktiles import tiling
-from cktiles.corpus import standard_corpus
+from cktiles.corpus import circulant_matrix, standard_corpus
 from cktiles.errors import InputError
 from cktiles.graph import is_irreducible
 from cktiles.matrices import IntMatrix
@@ -159,37 +159,71 @@ def _longest_pairwise_witness(sys_, max_steps):
     return longest
 
 
+def _search_and_oracle_at_bounds(sys_, label):
+    """Whether the search passes at bounds 1, 2, 3, 4, 6 and 2|omega|, each
+    asserted equal to the pairwise definition at that bound."""
+    bounds = (1, 2, 3, 4, 6, 2 * len(sys_.omega))
+    longest = _longest_pairwise_witness(sys_, max(bounds))
+    row = [longest is not None and longest <= bound for bound in bounds]
+    for bound, expected in zip(bounds, row):
+        assert is_transitive_search(sys_, bound) == expected, (label, bound)
+    return row
+
+
 def test_search_matches_pairwise_witness_oracle():
     corpus = standard_corpus(seed=1302, circulant_pairs=20)
     assert {"identity(2)", "identity(3)"} <= {entry.label for entry in corpus}
-    outcomes = []
-    for entry in corpus:
-        sys_ = entry.system
-        bounds = (1, 2, 3, 4, 6, 2 * len(sys_.omega))
-        longest = _longest_pairwise_witness(sys_, max(bounds))
-        row = [longest is not None and longest <= bound for bound in bounds]
-        for bound, expected in zip(bounds, row):
-            assert is_transitive_search(sys_, bound) == expected, (entry.label, bound)
-        outcomes.append(row)
+    outcomes = [_search_and_oracle_at_bounds(entry.system, entry.label) for entry in corpus]
     assert any(not any(row) for row in outcomes)  # never transitive
     assert any(row[-1] and not row[1] for row in outcomes)  # fails only at small bounds
     with pytest.raises(InputError):
         is_transitive_search(exchange_system(2, 3), 0)
 
 
-def test_search_runs_one_bfs_per_start_tile(monkeypatch):
+def test_search_matches_pairwise_witness_oracle_at_staircase_size():
+    # exchange and split circulant systems of the staircase benchmark's
+    # shapes and sizes, 20 to 36 tiles
+    systems = {
+        "exchange(4,5)": exchange_system(4, 5),
+        "exchange(5,7)": exchange_system(5, 7),
+        "circulant(6;0,2,4;0,4)": canonical_system(
+            circulant_matrix(6, (0, 2, 4)), circulant_matrix(6, (0, 4))
+        ),
+        "circulant(6;0,3;0,3)": canonical_system(
+            circulant_matrix(6, (0, 3)), circulant_matrix(6, (0, 3))
+        ),
+    }
+    outcomes = {label: _search_and_oracle_at_bounds(s, label) for label, s in systems.items()}
+    assert outcomes["exchange(5,7)"][-1]
+    assert not any(outcomes["circulant(6;0,3;0,3)"])
+
+
+@pytest.mark.parametrize("bound", [True, False, 2.5, "3"])
+def test_search_and_witness_take_only_a_positive_int_bound(bound):
+    sys_ = exchange_system(2, 3)
+    with pytest.raises(InputError):
+        is_transitive_search(sys_, bound)
+    with pytest.raises(InputError):
+        find_transitivity_witness(sys_, sys_.tiles[0], sys_.tiles[1], bound)
+
+
+def test_search_runs_one_sweep_per_start_tile_and_no_bfs(monkeypatch):
     starts = []
-    bfs = tiling._staircase_bfs
+    sweep = tiling._staircase_sweep
 
-    def counting_bfs(sys_, start_idx, *args, **kwargs):
+    def counting_sweep(start_idx, *args):
         starts.append(start_idx)
-        return bfs(sys_, start_idx, *args, **kwargs)
+        return sweep(start_idx, *args)
 
-    monkeypatch.setattr(tiling, "_staircase_bfs", counting_bfs)
+    def no_bfs(*args):
+        raise AssertionError("the search runs no breadth-first search")
+
+    monkeypatch.setattr(tiling, "_staircase_sweep", counting_sweep)
+    monkeypatch.setattr(tiling, "_staircase_bfs", no_bfs)
     sys_ = exchange_system(4, 5)
     assert len(sys_.tiles) == 20
     assert is_transitive_search(sys_)
-    assert sorted(starts) == list(range(20))
+    assert starts == list(range(20))
     starts.clear()
     # the first start tile misses the other vertex's corner, so the search stops
     assert not is_transitive_search(_identity_system())
