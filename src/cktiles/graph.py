@@ -26,6 +26,17 @@ class Edge:
     range: int
     index: int
 
+    def __post_init__(self):
+        # hashed once: the generated __hash__ rebuilds the field tuple per call
+        object.__setattr__(self, "_hash", hash((self.tag, self.source, self.range, self.index)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes differ between processes, so unpickling hashes afresh
+        return Edge, (self.tag, self.source, self.range, self.index)
+
     @property
     def key(self):
         """Identifier used in serialized form: (source, range, index)."""

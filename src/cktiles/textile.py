@@ -53,6 +53,15 @@ class Tile:
     left: object
     bottom: object
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.top, self.right, self.left, self.bottom)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Tile, (self.top, self.right, self.left, self.bottom)
+
     def __repr__(self):
         return f"Tile(t={self.top!r}, r={self.right!r}, l={self.left!r}, b={self.bottom!r})"
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cktiles import cli, graph, textile, tiling
+from cktiles import cli, graph, ktheory, textile, tiling
 from cktiles.cli import main
 from cktiles.errors import InputError
 from cktiles.ktheory import AbelianGroup
@@ -288,6 +288,29 @@ def test_check_corpus_and_witness_rescan_no_fact_the_construction_proves(
 
 
 @pytest.mark.parametrize("command", ["check", "kgroups"])
+def test_k0_builds_no_dense_matrix_larger_than_a_core(tmp_path, capsys, monkeypatch, command):
+    # both K0 presentations reach the cokernel as sparse rows read off the
+    # tiles, so the only dense matrices are the inputs and the cores
+    built, cores = [], []
+    init, eliminate = IntMatrix.__init__, ktheory._unit_eliminated_core
+
+    def recorded_init(self, data):
+        init(self, data)
+        built.append(self.rows)
+
+    def recorded_core(rows, size):
+        cores.append(eliminate(rows, size))
+        return cores[-1]
+
+    monkeypatch.setattr(IntMatrix, "__init__", recorded_init)
+    monkeypatch.setattr(ktheory, "_unit_eliminated_core", recorded_core)
+    path = _write(tmp_path, {"A": [[8]], "B": [[8]], "kappa": "exchange"})
+    assert _run(capsys, [command, path])[0] == 0
+    assert len(cores) == 2
+    assert max(built) <= max(len(core) for core in cores)
+
+
+@pytest.mark.parametrize("command", ["check", "kgroups"])
 def test_failed_block_matrix_cross_check_exits_1_with_the_full_report(
     tmp_path, capsys, monkeypatch, command
 ):
@@ -430,6 +453,25 @@ def test_witness_command_not_found(tmp_path, capsys):
     assert report["found"] is False
     code, _, _ = _run(capsys, ["witness", "0", "99", path])
     assert code == 3  # out-of-range tile index
+
+
+def test_witness_takes_the_path_before_or_after_max_steps(tmp_path, capsys, monkeypatch):
+    # argparse leaves the optional path empty when --max-steps follows TILE2
+    path = _write(tmp_path, EXCHANGE_2_3)
+    before = _run(capsys, ["witness", "0", "5", path, "--max-steps", "2"])
+    assert before[0] == 0 and json.loads(before[1])["found"] is True
+    assert _run(capsys, ["witness", "0", "5", "--max-steps", "2", path]) == before
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EXCHANGE_2_3)))
+    assert _run(capsys, ["witness", "0", "5", "--max-steps", "2"]) == before
+    for extra in (
+        [path, "--max-steps", "2", path],
+        ["--max-steps", "2", path, path],
+        ["--max-steps", "2", "--bogus"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", "0", "5", *extra])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_corpus_command(capsys):

@@ -319,22 +319,26 @@ def _edge_factors(sys_):
 
 
 def _presented(monkeypatch, k0_of, sys_):
-    """The one matrix whose cokernel ``k0_of(sys_)`` takes."""
+    """The one matrix whose cokernel ``k0_of(sys_)`` takes, densified from
+    the sparse rows it hands the cokernel."""
     seen = []
 
-    def captured(m):
-        seen.append(m)
+    def captured(rows, size):
+        # nonzero entries only, keys ascending, as step (a) expects
+        assert all(list(row) == sorted(row) and all(row.values()) for row in rows)
+        seen.append(IntMatrix([[row.get(j, 0) for j in range(size)] for row in rows]))
         return AbelianGroup(free_rank=0)
 
-    monkeypatch.setattr(ktheory, "cokernel", captured)
+    monkeypatch.setattr(ktheory, "_cokernel_of_rows", captured)
     k0_of(sys_)
     (matrix,) = seen
     return matrix
 
 
 def test_both_k0_presentations_are_the_stated_matrices(monkeypatch, random_family):
-    # the edge presentation is LR - I_m, the cross-check I_2n - H_k^T
-    # entry by entry, on every family the groups are compared on
+    # the edge presentation is LR - I_m, the cross-check U (I_2n - H_k^T)
+    # with U = [[I, 0], [-I, I]], entry by entry, on every family the groups
+    # are compared on
     systems = [exchange_system(n, m) for n in range(2, 9) for m in range(n, 9)]
     systems += [e.system for e in standard_corpus(seed=1302, circulant_pairs=40)]
     systems += random_family
@@ -352,7 +356,9 @@ def test_both_k0_presentations_are_the_stated_matrices(monkeypatch, random_famil
         assert edge_matrix == l @ r - IntMatrix.identity(l.rows), sys_
         block = _presented(monkeypatch, block_matrix_k0, sys_)
         n = len(sys_.omega)
-        assert block == IntMatrix.identity(2 * n) - sys_.h_kappa.transpose(), sys_
+        size = range(2 * n)
+        u = IntMatrix([[int(i == j) - int(i == j + n) for j in size] for i in size])
+        assert block == u @ (IntMatrix.identity(2 * n) - sys_.h_kappa.transpose()), sys_
 
 
 def test_block_matrix_k0_matches_kgroups_on_exchange_pairs():
@@ -465,12 +471,54 @@ def test_cokernel_recovers_planted_torsion(diagonal, moves, scale):
     assert _exact_cokernel(m) == expected
 
 
+def _core(m):
+    """Step (a)'s core of the square IntMatrix ``m``."""
+    return ktheory._unit_eliminated_core(
+        [{j: x for j, x in enumerate(row) if x} for row in m.data], m.rows
+    )
+
+
 def test_cokernel_core_keeps_zero_columns():
     # a core built from the nonzero columns only is 1 x 0 here, not square
-    assert ktheory._unit_eliminated_core(IntMatrix([[0]])) == [[0]]
+    assert _core(IntMatrix([[0]])) == [[0]]
     assert cokernel(IntMatrix([[0]])) == AbelianGroup(free_rank=1)
-    assert ktheory._unit_eliminated_core(IntMatrix([[0, 1], [0, 0]])) == [[0]]
+    assert _core(IntMatrix([[0, 1], [0, 0]])) == [[0]]
     assert cokernel(IntMatrix([[0, 1], [0, 0]])) == AbelianGroup(free_rank=1)
+
+
+class _LoggedRow(dict):
+    """A sparse row that logs every entry it gains, changes or loses."""
+
+    def __init__(self, log, entries):
+        super().__init__(entries)
+        self.log = log
+
+    def __setitem__(self, j, x):
+        self.log.append(("set", j))
+        super().__setitem__(j, x)
+
+    def __delitem__(self, j):
+        self.log.append(("del", j))
+        super().__delitem__(j)
+
+
+def test_unit_elimination_clears_a_refilled_entry_once():
+    # pivot (0, 0) cancels row 3's entry in column 2 and pivot (1, 1) fills
+    # it in again, so row 3 is listed twice under column 2; pivot (2, 2)
+    # clears it on the first listing and skips the stale second one
+    log = []
+    rows = [
+        {0: 1, 2: 1},
+        {1: 1, 2: 1},
+        {2: 1, 4: 3},
+        _LoggedRow(log, {0: 2, 1: 2, 2: 2, 3: 2, 4: 2}),
+        {3: 5, 4: 7},
+    ]
+    dense = IntMatrix([[row.get(j, 0) for j in range(5)] for row in rows])
+    core = ktheory._unit_eliminated_core(rows, 5)
+    assert core == [[2, 8], [5, 7]]
+    assert log == [("del", 0), ("del", 2), ("del", 1), ("set", 2), ("del", 2), ("set", 4)]
+    assert cokernel(dense) == canonicalize(invariant_factors_oracle(dense)) == canonicalize([26])
 
 
 _DENSE_SQUARES = st.integers(min_value=1, max_value=8).flatmap(
@@ -488,7 +536,7 @@ def test_unit_elimination_on_dense_matrices(rows):
     # planted torsion is sparse; here most entries are nonzero and units
     # keep reappearing as pivots are cleared
     m = IntMatrix(rows)
-    core = ktheory._unit_eliminated_core(m)
+    core = _core(m)
     assert all(len(row) == len(core) for row in core)
     assert not any(x in (1, -1) for row in core for x in row)
     oracle = invariant_factors_oracle(m)
@@ -501,7 +549,7 @@ def test_unit_elimination_core_size(n, m, bound):
     # are the core sizes the two-sided Markowitz search left
     sys_ = exchange_system(n, m)
     k0_matrix = sys_.a_kappa + sys_.b_kappa - IntMatrix.identity(len(sys_.omega))
-    assert len(ktheory._unit_eliminated_core(k0_matrix)) <= bound
+    assert len(_core(k0_matrix)) <= bound
 
 
 def test_modular_diagonal_keeps_a_pivot_that_divides():

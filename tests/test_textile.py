@@ -1,3 +1,10 @@
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from cktiles import cli, closedform
@@ -136,6 +143,27 @@ def test_exchange_2_2_tiles():
         for a in sys_.graph_b.edges
     }
     assert len(sys_.tiles) == 4
+
+
+def test_tiles_and_edges_hash_afresh_after_unpickling():
+    # each caches its hash, but str hashes differ between processes, so a
+    # hash carried in the pickle would miss the equal tile built here
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    code = (
+        "import pickle, sys; from cktiles.textile import exchange_system; "
+        "sys.stdout.buffer.write(pickle.dumps(exchange_system(2, 3).tiles))"
+    )
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+    loaded = pickle.loads(
+        subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True).stdout
+    )
+    fresh = exchange_system(2, 3).tiles
+    assert loaded == fresh
+    assert [hash(t) for t in loaded] == [hash(t) for t in fresh]
+    assert set(loaded) == set(fresh)
+    assert [f.name for f in fields(Tile)] == ["top", "right", "left", "bottom"]
+    assert [f.name for f in fields(fresh[0].top)] == ["tag", "source", "range", "index"]
 
 
 def test_validate_specification_reports_noninjective():
