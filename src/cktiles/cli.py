@@ -22,6 +22,7 @@ from .graph import unreachable_pair
 from .ktheory import block_matrix_k0, kgroups_of_system
 from .textile import (
     Specification,
+    _assemble,
     build_system,
     canonical_system,
     essential_graphs,
@@ -86,25 +87,23 @@ def _parse_system(payload):
     ga, gb = essential_graphs(matrix_a, matrix_b)
     require_commuting(ga, gb)
     if kappa_field == "exchange":
-        kappa = exchange_specification(ga, gb)
-    elif isinstance(kappa_field, list):
-        mapping = {}
-        for entry in kappa_field:
-            if not (
-                isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(half, list) and len(half) == 2 for half in entry)
-            ):
-                raise ParseError("explicit kappa entries must be [[alpha,b],[a,beta]] pairs")
-            (alpha_id, b_id), (a_id, beta_id) = entry
-            pair = (_edge_from_id(ga, alpha_id), _edge_from_id(gb, b_id))
-            image = (_edge_from_id(gb, a_id), _edge_from_id(ga, beta_id))
-            if pair in mapping:
-                raise SpecificationError(f"duplicate kappa entry for {pair!r}")
-            mapping[pair] = image
-        kappa = Specification(domain=tuple(mapping), mapping=mapping)
-    else:
+        return _assemble(ga, gb, exchange_specification(ga, gb))
+    if not isinstance(kappa_field, list):
         raise ParseError('field "kappa" must be "canonical", "exchange" or a list of entries')
-    return build_system(ga, gb, kappa)
+    mapping = {}
+    for entry in kappa_field:
+        if not (
+            isinstance(entry, list) and len(entry) == 2
+            and all(isinstance(half, list) and len(half) == 2 for half in entry)
+        ):
+            raise ParseError("explicit kappa entries must be [[alpha,b],[a,beta]] pairs")
+        (alpha_id, b_id), (a_id, beta_id) = entry
+        pair = (_edge_from_id(ga, alpha_id), _edge_from_id(gb, b_id))
+        image = (_edge_from_id(gb, a_id), _edge_from_id(ga, beta_id))
+        if pair in mapping:
+            raise SpecificationError(f"duplicate kappa entry for {pair!r}")
+        mapping[pair] = image
+    return build_system(ga, gb, Specification(domain=tuple(mapping), mapping=mapping))
 
 
 def _group_payload(group):
@@ -130,10 +129,13 @@ def _kgroups_payload(sys_):
 def _check_payload(sys_):
     """The check report and whether the block-matrix K0 cross-check agreed.
 
-    Every system here passed textile.essential_graphs (A and B essential,
-    AB = BA) and build_system (kappa an endpoint-preserving bijection), so
-    eight structural facts hold by construction and only reachability and
-    the K-groups are computed.  Why the four facts about the built system hold:
+    Every system here passed textile.essential_graphs (A and B essential)
+    and require_commuting (AB = BA), so eight structural facts hold by
+    construction and only reachability and the K-groups are computed.
+    - kappa_valid: build_system validated an explicit kappa.  The canonical
+      one matches each (s, r) block's |AB(s, r)| = |BA(s, r)| pairs position
+      by position; the exchange one swaps every pair on a single vertex.
+    Why the four facts about the built system hold:
     - transition_commute: at x = (alpha, a), z = (gamma, e), A_k B_k counts the
       B-edges c with kappa(alpha, c) = (a, .) and r(c) = s(gamma), B_k A_k the
       A-edges beta with kappa^-1(a, beta) = (alpha, .) and r(beta) = s(e);

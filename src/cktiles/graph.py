@@ -12,30 +12,20 @@ the support digraph) and condition (I) (every cycle has an exit).
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InputError
 from .matrices import IntMatrix
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One directed edge; ``index`` runs 1..multiplicity within (source, range)."""
+class Edge(NamedTuple):
+    """One directed edge; ``index`` runs 1..multiplicity within (source, range).
+    Tuple-backed: it hashes (in C) and pickles as the tuple of its fields."""
 
     tag: str
     source: int
     range: int
     index: int
-
-    def __post_init__(self):
-        # hashed once: the generated __hash__ rebuilds the field tuple per call
-        object.__setattr__(self, "_hash", hash((self.tag, self.source, self.range, self.index)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # str hashes differ between processes, so unpickling hashes afresh
-        return Edge, (self.tag, self.source, self.range, self.index)
 
     @property
     def key(self):
@@ -55,10 +45,15 @@ class DirectedMultigraph:
     label: str
     _position: dict = field(init=False, repr=False, compare=False)
     _by_key: dict = field(init=False, repr=False, compare=False)
+    _out: dict = field(init=False, repr=False, compare=False)  # source -> its edges, in order
 
     def __post_init__(self):
+        out = {}
+        for e in self.edges:
+            out.setdefault(e.source, []).append(e)
         object.__setattr__(self, "_position", {e: i for i, e in enumerate(self.edges)})
         object.__setattr__(self, "_by_key", {e.key: e for e in self.edges})
+        object.__setattr__(self, "_out", out)
 
     def position(self, edge):
         """Ordinal of ``edge`` in the canonical (source, range, index) order."""
@@ -80,8 +75,14 @@ class DirectedMultigraph:
         return m
 
 
+class _SquareRows(list):
+    """Rows :func:`_square_rows` has validated; it returns them as they are."""
+
+
 def _square_rows(matrix):
     """Accept an IntMatrix or nested sequences; return validated row lists."""
+    if type(matrix) is _SquareRows:
+        return matrix
     rows = matrix.to_lists() if isinstance(matrix, IntMatrix) else [list(r) for r in matrix]
     n = len(rows)
     for row in rows:
@@ -92,7 +93,7 @@ def _square_rows(matrix):
                 raise InputError(f"matrix entries must be ints, got {x!r}")
             if x < 0:
                 raise InputError(f"matrix entries must be nonnegative, got {x}")
-    return rows
+    return _SquareRows(rows)
 
 
 def graph_from_matrix(matrix, tag):
@@ -102,13 +103,11 @@ def graph_from_matrix(matrix, tag):
     i+1 to vertex j+1, enumerated deterministically.
     """
     rows = _square_rows(matrix)
-    n = len(rows)
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(1, rows[i][j] + 1):
-                edges.append(Edge(tag=tag, source=i + 1, range=j + 1, index=k))
-    return DirectedMultigraph(vertex_count=n, edges=tuple(edges), label=tag)
+    edges = tuple(
+        Edge(tag, i, j, k)
+        for i, row in enumerate(rows, 1) for j, x in enumerate(row, 1) for k in range(1, x + 1)
+    )
+    return DirectedMultigraph(vertex_count=len(rows), edges=edges, label=tag)
 
 
 def is_essential(matrix):

@@ -15,12 +15,13 @@ with the 0/1 transition matrices describing horizontal and vertical
 concatenation of tiles.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
+from typing import NamedTuple
 
 from .errors import CommutationError, InputError, SpecificationError
-from .graph import graph_from_matrix, is_essential
+from .graph import Edge, _square_rows, graph_from_matrix, is_essential
 from .matrices import IntMatrix
 
 
@@ -44,23 +45,14 @@ class Specification:
         return tuple((pair, self.mapping[pair]) for pair in self.domain)
 
 
-@dataclass(frozen=True)
-class Tile:
-    """A unit square tile; the four edges satisfy kappa(top, right) = (left, bottom)."""
+class Tile(NamedTuple):
+    """A unit square tile; the four edges satisfy kappa(top, right) = (left, bottom).
+    Tuple-backed: it hashes (in C) and pickles as the tuple of its fields."""
 
     top: object
     right: object
     left: object
     bottom: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.top, self.right, self.left, self.bottom)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return Tile, (self.top, self.right, self.left, self.bottom)
 
     def __repr__(self):
         return f"Tile(t={self.top!r}, r={self.right!r}, l={self.left!r}, b={self.bottom!r})"
@@ -153,12 +145,13 @@ def _require_same_vertices(ga, gb):
 def essential_graphs(matrix_a, matrix_b):
     """The graphs of A and B; InputError if either has a zero row or column.
 
-    The one input gate: the CLI and :func:`canonical_system` build graphs here.
+    The one input gate, checking each entry once: the CLI and
+    :func:`canonical_system` build graphs here.
     """
-    ga = graph_from_matrix(matrix_a, "A")
-    gb = graph_from_matrix(matrix_b, "B")
-    for name, matrix in (("A", matrix_a), ("B", matrix_b)):
-        if not is_essential(matrix):
+    rows_a, rows_b = _square_rows(matrix_a), _square_rows(matrix_b)
+    ga, gb = graph_from_matrix(rows_a, "A"), graph_from_matrix(rows_b, "B")
+    for name, rows in (("A", rows_a), ("B", rows_b)):
+        if not is_essential(rows):
             raise InputError(f"matrix {name} is not essential: it has a zero row or column")
     return ga, gb
 
@@ -169,15 +162,23 @@ def sigma_ab(ga, gb):
     Ordered lexicographically by (position of alpha, position of b).
     """
     _require_same_vertices(ga, gb)
-    return [
-        (alpha, b) for alpha in ga.edges for b in gb.edges if alpha.range == b.source
-    ]
+    return [(alpha, b) for alpha in ga.edges for b in gb._out.get(alpha.range, ())]
 
 
 def sigma_ba(ga, gb):
     """All pairs (a, beta) with a a B-edge, beta an A-edge and r(a) = s(beta)."""
     _require_same_vertices(ga, gb)
-    return [(a, beta) for a in gb.edges for beta in ga.edges if a.range == beta.source]
+    return [(a, beta) for a in gb.edges for beta in ga._out.get(a.range, ())]
+
+
+def _path_counts(first, second):
+    """Row i - 1 counts the paths e.f from vertex i by their end, e in ``first``, f in
+    ``second``; read off the edges, as IntMatrix would check every entry again."""
+    matrix = second.to_matrix()
+    counts = [[0] * len(matrix) for _ in matrix]
+    for e in first.edges:
+        counts[e.source - 1] = list(map(add, counts[e.source - 1], matrix[e.range - 1]))
+    return counts
 
 
 def require_commuting(ga, gb):
@@ -186,14 +187,10 @@ def require_commuting(ga, gb):
     Graphs on different vertex counts raise InputError first.
     """
     _require_same_vertices(ga, gb)
-    a = IntMatrix(ga.to_matrix())
-    b = IntMatrix(gb.to_matrix())
-    ab = a @ b
-    ba = b @ a
-    for i in range(a.rows):
-        for j in range(a.rows):
-            if ab[i, j] != ba[i, j]:
-                raise CommutationError(i + 1, j + 1, ab[i, j], ba[i, j])
+    for i, (ab, ba) in enumerate(zip(_path_counts(ga, gb), _path_counts(gb, ga)), 1):
+        for j, (x, y) in enumerate(zip(ab, ba), 1):
+            if x != y:
+                raise CommutationError(i, j, x, y)
 
 
 def canonical_specification(ga, gb):
@@ -235,17 +232,16 @@ def exchange_specification(ga, gb):
 
 
 def _composable(pair, first, second):
-    """True iff ``pair`` is (e, f) with e in ``first``, f in ``second`` and r(e) = s(f)."""
+    """True iff ``pair`` is (e, f) with Edges e in ``first``, f in ``second`` and r(e) = s(f)."""
     return (
-        isinstance(pair, tuple) and len(pair) == 2
+        isinstance(pair, tuple) and len(pair) == 2 and type(pair[0]) is type(pair[1]) is Edge
         and pair[0] in first and pair[1] in second and pair[0].range == pair[1].source
     )
 
 
 def _composable_count(first, second):
     """The number of composable (e, f) with e in graph ``first``, f in ``second``."""
-    into = Counter(e.range for e in first.edges)
-    return sum(into[f.source] for f in second.edges)
+    return sum(len(second._out.get(e.range, ())) for e in first.edges)
 
 
 def validate_specification(kappa, ga, gb):
@@ -257,7 +253,7 @@ def validate_specification(kappa, ga, gb):
     from vertex degrees, so neither is enumerated.
     """
     _require_same_vertices(ga, gb)
-    edges_a, edges_b = set(ga.edges), set(gb.edges)
+    edges_a, edges_b = ga._position, gb._position  # dicts keyed by the edges
     domain = set(kappa.domain)
     expected = _composable_count(ga, gb)
     if len(domain) != len(kappa.domain) or len(domain) != expected or not all(
@@ -311,20 +307,22 @@ def validate_specification(kappa, ga, gb):
     return ValidationReport(ok=True)
 
 
+def _assemble(ga, gb, kappa):
+    """Tiles and corner pairs of a kappa known valid; no matrix (see TextileSystem)."""
+    tiles = tuple(Tile(alpha, b, a, beta) for (alpha, b), (a, beta) in kappa.items())
+    pos_a, pos_b = ga._position, gb._position
+    omega = tuple(
+        sorted({(t.top, t.left) for t in tiles}, key=lambda p: (pos_a[p[0]], pos_b[p[1]]))
+    )
+    return TextileSystem(graph_a=ga, graph_b=gb, kappa=kappa, tiles=tiles, omega=omega)
+
+
 def build_system(ga, gb, kappa):
-    """Assemble the tiles and the corner pairs; no matrix is built (see TextileSystem)."""
+    """Validate ``kappa`` (SpecificationError names the first violation), then assemble."""
     report = validate_specification(kappa, ga, gb)
     if not report.ok:
         raise SpecificationError(f"{report.failure}: {report.detail}")
-    tiles = tuple(
-        Tile(top=alpha, right=b, left=a, bottom=beta)
-        for (alpha, b), (a, beta) in kappa.items()
-    )
-    corner_set = {(t.top, t.left) for t in tiles}
-    omega = tuple(
-        sorted(corner_set, key=lambda p: (ga.position(p[0]), gb.position(p[1])))
-    )
-    return TextileSystem(graph_a=ga, graph_b=gb, kappa=kappa, tiles=tiles, omega=omega)
+    return _assemble(ga, gb, kappa)
 
 
 def check_commutation(sys):
@@ -335,11 +333,10 @@ def check_commutation(sys):
 def canonical_system(matrix_a, matrix_b):
     """Build the system for two essential commuting matrices under the canonical specification."""
     ga, gb = essential_graphs(matrix_a, matrix_b)
-    return build_system(ga, gb, canonical_specification(ga, gb))
+    return _assemble(ga, gb, canonical_specification(ga, gb))
 
 
 def exchange_system(n, m):
     """Build the exchange system for the single-vertex graphs [n] and [m]."""
-    ga = graph_from_matrix([[n]], "A")
-    gb = graph_from_matrix([[m]], "B")
-    return build_system(ga, gb, exchange_specification(ga, gb))
+    ga, gb = graph_from_matrix([[n]], "A"), graph_from_matrix([[m]], "B")
+    return _assemble(ga, gb, exchange_specification(ga, gb))

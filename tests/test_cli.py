@@ -267,6 +267,40 @@ def test_check_computes_each_input_fact_once(tmp_path, capsys, monkeypatch, payl
     assert len(graphs) == 2
 
 
+def test_input_gate_checks_each_matrix_once(tmp_path, capsys, monkeypatch):
+    # essential_graphs checks A and B; graph_from_matrix and is_essential get
+    # the checked rows, and require_commuting builds no IntMatrix
+    rows = _count_calls(monkeypatch, graph, "_square_rows")
+    built = []
+    init = IntMatrix.__init__
+
+    def recorded_init(self, data):
+        init(self, data)
+        built.append(self.rows)
+
+    monkeypatch.setattr(IntMatrix, "__init__", recorded_init)
+    for payload in _DOCUMENTS:
+        rows.clear()
+        assert _run(capsys, ["tiles", _write(tmp_path, payload)])[0] == 0
+        assert [m for (m,) in rows if type(m) is not graph._SquareRows] == [
+            payload["A"], payload["B"]
+        ]
+        assert built == []
+
+
+def test_only_explicit_kappa_is_validated(tmp_path, capsys, monkeypatch):
+    # canonical and exchange kappa are valid by construction (see
+    # cli._check_payload); tests/test_textile.py validates them instead
+    calls = _count_calls(monkeypatch, textile, "validate_specification")
+    for payload in _DOCUMENTS:
+        path = _write(tmp_path, payload)
+        expected = 1 if isinstance(payload.get("kappa"), list) else 0
+        for argv in (["check"], ["kgroups"], ["tiles"], ["witness", "0", "1"]):
+            calls.clear()
+            assert _run(capsys, argv + [path])[0] == 0
+            assert len(calls) == expected, (argv, payload)
+
+
 def test_check_corpus_and_witness_rescan_no_fact_the_construction_proves(
     tmp_path, capsys, monkeypatch
 ):

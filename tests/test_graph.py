@@ -32,6 +32,20 @@ def test_entry_counts():
     assert [e.key for e in g.edges] == [(1, 1, 1), (1, 2, 1), (1, 2, 2), (2, 2, 1)]
 
 
+def test_edges_hash_and_print_as_their_fields_and_match_across_builds():
+    first = graph_from_matrix([[1, 2], [0, 1]], "A").edges
+    second = graph_from_matrix([[1, 2], [0, 1]], "A").edges
+    edge = first[2]
+    assert (edge.tag, edge.source, edge.range, edge.index) == ("A", 1, 2, 2)
+    assert hash(edge) == hash(("A", 1, 2, 2))
+    assert repr(edge) == str(edge) == "A(1,2)#2"
+    assert repr(list(first)) == "[A(1,1)#1, A(1,2)#1, A(1,2)#2, A(2,2)#1]"
+    assert all(a == b and a is not b for a, b in zip(first, second))
+    position = {e: i for i, e in enumerate(first)}
+    assert [position[e] for e in second] == [0, 1, 2, 3]
+    assert set(first) == set(second)
+
+
 def test_edge_by_key_finds_each_edge_and_names_unknown_keys():
     g = graph_from_matrix([[1, 2], [0, 1]], "A")
     assert [g.edge_by_key(e.key) for e in g.edges] == list(g.edges)

@@ -162,8 +162,47 @@ def test_tiles_and_edges_hash_afresh_after_unpickling():
     assert loaded == fresh
     assert [hash(t) for t in loaded] == [hash(t) for t in fresh]
     assert set(loaded) == set(fresh)
-    assert [f.name for f in fields(Tile)] == ["top", "right", "left", "bottom"]
-    assert [f.name for f in fields(fresh[0].top)] == ["tag", "source", "range", "index"]
+    assert list(Tile._fields) == ["top", "right", "left", "bottom"]
+    assert list(fresh[0].top._fields) == ["tag", "source", "range", "index"]
+
+
+def test_tiles_hash_and_print_as_their_fields():
+    tile = exchange_system(2, 3).tiles[1]
+    ga, gb = _graphs([[2]], [[3]])
+    assert tile == Tile(ga.edges[0], gb.edges[1], gb.edges[1], ga.edges[0])
+    assert hash(tile) == hash((("A", 1, 1, 1), ("B", 1, 1, 2), ("B", 1, 1, 2), ("A", 1, 1, 1)))
+    assert repr(tile) == str(tile) == "Tile(t=A(1,1)#1, r=B(1,1)#2, l=B(1,1)#2, b=A(1,1)#1)"
+
+
+def test_library_specifications_are_valid_by_construction(random_family):
+    # canonical_system, exchange_system and the CLI's canonical and exchange
+    # kappa skip validate_specification (cli._check_payload says why), so
+    # their validity is checked here
+    for n in range(2, 9):
+        for m in range(n, 9):
+            ga, gb = _graphs([[n]], [[m]])
+            assert validate_specification(exchange_specification(ga, gb), ga, gb).ok, (n, m)
+    pairs = [(s.graph_a, s.graph_b) for s in random_family]
+    for seed in (1302, 2012):
+        for entry in standard_corpus(seed=seed):
+            sys_ = entry.system
+            assert validate_specification(sys_.kappa, sys_.graph_a, sys_.graph_b).ok, entry.label
+            pairs.append((sys_.graph_a, sys_.graph_b))
+    for ga, gb in pairs:
+        assert validate_specification(canonical_specification(ga, gb), ga, gb).ok, (ga, gb)
+
+
+def test_validate_specification_reports_plain_tuples_in_place_of_edges():
+    # an Edge equals the plain tuple of its fields, but a kappa of tuples is
+    # still reported, not raised on
+    ga, gb = _graphs([[2]], [[2]])
+    kappa = canonical_specification(ga, gb)
+    plain = {(tuple(alpha), b): (a, tuple(beta)) for (alpha, b), (a, beta) in kappa.items()}
+    report = validate_specification(Specification(tuple(plain), plain), ga, gb)
+    assert (report.ok, report.failure) == (False, "domain-mismatch")
+    images = {pair: (a, tuple(beta)) for pair, (a, beta) in kappa.items()}
+    report = validate_specification(Specification(kappa.domain, images), ga, gb)
+    assert (report.ok, report.failure) == (False, "endpoint-r(a)=s(beta)")
 
 
 def test_validate_specification_reports_noninjective():
