@@ -452,7 +452,9 @@ def main(argv=None):
     """Run one subcommand; each cmd_* returns (report, ok), and ok maps to exit 0 or 1."""
     parser = build_parser()
     args, extra = parser.parse_known_args(argv)
-    if extra and args.command == "witness" and args.input is None and extra[0][:1] != "-":
+    if extra and args.command == "witness" and args.input is None and (
+        extra[0] == "-" or extra[0][:1] != "-"
+    ):
         args.input = extra.pop(0)  # argparse leaves it empty when --max-steps follows TILE2
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")

@@ -12,7 +12,9 @@ a staircase to a full plane configuration, so a finite witness is the
 computational meaning of "both tiles occur in one configuration with the
 second strictly right-and-below the first".  :func:`is_transitive_search`
 asks this of every pair at once by sweeping tile bitsets level by level;
-:func:`find_transitivity_witness` builds one witness by breadth-first search.
+:func:`find_transitivity_witness` builds one shortest witness by a
+breadth-first level sweep over integer states, testing each state for the
+goal when it is discovered.
 """
 
 from collections import defaultdict, deque
@@ -204,43 +206,69 @@ def _require_bound(max_steps):
 
 
 def _staircase_bfs(sys, start_idx, max_steps, goal_corner):
-    """Breadth-first search over (tile index, saw-a-Right, saw-a-Down) states.
+    """Breadth-first search over (tile, saw-a-Right, saw-a-Down) states.
 
-    Returns the parent map and the first state with both flags set whose tile
-    has the (top, left) corner ``goal_corner``, or None.
+    A state is the int ``4 * tile index + 2 * saw_right + saw_down``.  Each
+    tile's Right and Down successors are listed once per call, and the states
+    are swept level by level in the order a FIFO queue would dequeue them.  A
+    state is tested as a goal when it is first discovered; the first goal
+    discovered is the first such a queue would dequeue, and its parent chain
+    is fixed at discovery, so the witness is the one a goal test at dequeue
+    gives.
+
+    Returns the parent map, ``{state: (parent state, move)}`` with None for the
+    start, and the first state with both flags set whose tile has the
+    (top, left) corner ``goal_corner``, or None.
     """
+    tiles = sys.tiles
     by_left, by_top = defaultdict(list), defaultdict(list)
-    for idx, t in enumerate(sys.tiles):
-        by_left[t.left].append(idx)
-        by_top[t.top].append(idx)
-    start_state = (start_idx, False, False)
-    parents = {start_state: None}
-    frontier = deque([(start_state, 0)])
-    while frontier:
-        state, depth = frontier.popleft()
-        idx, saw_r, saw_d = state
-        tile = sys.tiles[idx]
-        if saw_r and saw_d and (tile.top, tile.left) == goal_corner:
-            return parents, state
-        if depth == max_steps:
-            continue
-        steps = [((nxt, True, saw_d), RIGHT) for nxt in by_left[tile.right]]
-        steps += [((nxt, saw_r, True), DOWN) for nxt in by_top[tile.bottom]]
-        for ns, move in steps:
-            if ns not in parents:
-                parents[ns] = (state, move)
-                frontier.append((ns, depth + 1))
+    goals = set()
+    for idx, t in enumerate(tiles):
+        by_left[t.left].append(4 * idx)
+        by_top[t.top].append(4 * idx)
+        if (t.top, t.left) == goal_corner:
+            goals.add(4 * idx + 3)
+    rights = [by_left.get(t.right, ()) for t in tiles]
+    downs = [by_top.get(t.bottom, ()) for t in tiles]
+    parents = {4 * start_idx: None}
+    level = [4 * start_idx]
+    for _ in range(max_steps):
+        discovered = []
+        for state in level:
+            idx = state >> 2
+            flags = (state & 1) | 2  # a Right move sets saw_right
+            for base in rights[idx]:
+                nxt = base | flags
+                if nxt not in parents:
+                    parents[nxt] = (state, RIGHT)
+                    if nxt in goals:
+                        return parents, nxt
+                    discovered.append(nxt)
+            flags = (state & 2) | 1  # a Down move sets saw_down
+            for base in downs[idx]:
+                nxt = base | flags
+                if nxt not in parents:
+                    parents[nxt] = (state, DOWN)
+                    if nxt in goals:
+                        return parents, nxt
+                    discovered.append(nxt)
+        if not discovered:
+            break
+        level = discovered
     return parents, None
 
 
 def find_transitivity_witness(sys, start, target, max_steps):
-    """Breadth-first search for a staircase witness from ``start`` to ``target``.
+    """Shortest staircase witness from ``start`` to ``target``, by breadth-first search.
 
     States are (tile, saw-a-Right, saw-a-Down); the goal is any state with
     both flags set whose tile shares the (top, left) corner of ``target``.
-    Returns None when no witness exists within ``max_steps`` moves; that is a
-    result, not an error.  Every link is read off the successor maps, so the
-    witness is valid as built; :func:`witness_is_valid` re-verifies it in tests.
+    The search sweeps the states level by level and tests each for the goal
+    when it is discovered, which finds the witness a FIFO search testing at
+    dequeue finds.  Returns None when no witness exists within
+    ``max_steps`` moves; that is a result, not an error.  Every link is read
+    off the successor lists, so the witness is valid as built;
+    :func:`witness_is_valid` re-verifies it in tests.
     """
     _require_bound(max_steps)
     tile_index = {t: i for i, t in enumerate(sys.tiles)}
@@ -252,7 +280,7 @@ def find_transitivity_witness(sys, start, target, max_steps):
     path = []
     while parents[goal] is not None:
         prev, move = parents[goal]
-        path.append((move, sys.tiles[goal[0]]))
+        path.append((move, sys.tiles[goal >> 2]))
         goal = prev
     moves, tiles = zip(*reversed(path))  # nonempty: the goal saw both moves
     rights = moves.count(RIGHT)
@@ -289,10 +317,11 @@ def _staircase_sweep(start_idx, max_steps, right, down, corners):
         )
         first = 0
         seen_r, seen_d, seen_rd = seen_r | new_r, seen_d | new_d, seen_rd | new_rd
-        corners = [c for c in corners if not c & new_rd]
-        if not corners:
-            return True
-        if not (new_r or new_d or new_rd):
+        if new_rd:  # only new both-flag states meet corners; with some, the start is live
+            corners = [c for c in corners if not c & new_rd]
+            if not corners:
+                return True
+        elif not (new_r or new_d):
             return False
     return False
 

@@ -495,8 +495,11 @@ def test_witness_takes_the_path_before_or_after_max_steps(tmp_path, capsys, monk
     before = _run(capsys, ["witness", "0", "5", path, "--max-steps", "2"])
     assert before[0] == 0 and json.loads(before[1])["found"] is True
     assert _run(capsys, ["witness", "0", "5", "--max-steps", "2", path]) == before
+    for stdin_args in ([], ["-"]):  # a bare "-" names standard input
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EXCHANGE_2_3)))
+        assert _run(capsys, ["witness", "0", "5", "--max-steps", "2", *stdin_args]) == before
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EXCHANGE_2_3)))
-    assert _run(capsys, ["witness", "0", "5", "--max-steps", "2"]) == before
+    assert _run(capsys, ["witness", "0", "5", "-", "--max-steps", "2"]) == before
     for extra in (
         [path, "--max-steps", "2", path],
         ["--max-steps", "2", path, path],
@@ -576,15 +579,39 @@ def _documents(draw):
     return document
 
 
-@settings(max_examples=150, deadline=None)
-@given(_documents(), st.sampled_from([["check"], ["kgroups"], ["tiles"], ["witness", "0", "1"]]))
-def test_main_exits_with_a_documented_code_on_any_document(document, argv):
+def _assert_documented_exit(argv):
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(document))):
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in range(6)
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if code >= 2:
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_documents(), st.sampled_from([["check"], ["kgroups"], ["tiles"], ["witness", "0", "1"]]))
+def test_main_exits_with_a_documented_code_on_any_document(document, argv):
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(document))):
+        _assert_documented_exit(argv)
+
+
+# sizes stay small: closedform is cheap at any size, but sweep and corpus
+# build and check a system per value
+_SIZE = st.integers(-3, 12)
+_COMMANDS = st.one_of(
+    st.tuples(st.just("closedform"), _SIZE, _SIZE),
+    st.tuples(st.just("sweep"), st.integers(-3, 6), st.integers(-3, 6)),
+    st.tuples(
+        st.just("corpus"),
+        st.just("--count"), st.integers(-3, 3),
+        st.just("--seed"), st.integers(-(2**40), 2**40),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_COMMANDS)
+def test_main_exits_with_a_documented_code_on_any_size(argv):
+    _assert_documented_exit([str(arg) for arg in argv])

@@ -58,6 +58,21 @@ LARGE_DOCUMENTS = {"exchange-20-20": {"A": [[20]], "B": [[20]], "kappa": "exchan
 
 LARGE_COMMANDS = ("kgroups",)
 
+# witness pins beyond ``witness 0 1``: a high-index pair on a 56-tile system,
+# a pair found at the default bound but not within two moves, and a pair with
+# no witness at any bound on a non-transitive system
+WITNESS_PINS = {
+    "witness-3-40:exchange-7-8": (
+        ["witness", "3", "40"], {"A": [[7]], "B": [[8]], "kappa": "exchange"}
+    ),
+    "witness-0-2-max-steps-2:circulant-3": (
+        ["witness", "0", "2", "--max-steps", "2"], DOCUMENTS["circulant-3"]
+    ),
+    "witness-0-4:circulant-6-03-03": (
+        ["witness", "0", "4"], {"A": _circulant(6, {0, 3}), "B": _circulant(6, {0, 3})}
+    ),
+}
+
 DOCUMENT_COMMANDS = {
     "check": ["check"],
     "check-pretty-matrices": ["check", "--pretty", "--emit-matrices"],
@@ -169,6 +184,10 @@ GOLDEN = {
     "closedform-40-40": ("34742f419c4e62f863f1890c197d561847f7d5c0403c6f7bcbdb33d7bac69bec", 0),
     "sweep-12-14": ("385d93d913b17520b36428a36598a01ad7b78f2071120b2faebe4084ba227070", 0),
     "kgroups:exchange-20-20": ("ff72bda9acc941a3623590e4e35e70892b394ed008b627c173e9a9566c347ee9", 0),
+    # recorded while the witness search tested its goal when it dequeued a state
+    "witness-3-40:exchange-7-8": ("f2d0d1dbafdc89d8c39fda77622969fb12344d90452154b874ad26739d886d9a", 0),
+    "witness-0-2-max-steps-2:circulant-3": ("6215d63a40948c8ab24ef66004745ecaf7d31051e07102a2f1e710a932a6c3e6", 0),
+    "witness-0-4:circulant-6-03-03": ("b13f93b4e11c5b0490648efe5199621250d577a47f19685dcfb1f82384cd8419", 0),
 }
 
 
@@ -182,12 +201,18 @@ def _cases():
     for doc in LARGE_DOCUMENTS:
         for command in LARGE_COMMANDS:
             yield f"{command}:{doc}"
+    yield from WITNESS_PINS
     yield from PLAIN_COMMANDS
 
 
 def _outcome(case, tmp_path, capsys):
     if case in PLAIN_COMMANDS:
         argv = PLAIN_COMMANDS[case]
+    elif case in WITNESS_PINS:
+        argv, document = WITNESS_PINS[case]
+        path = tmp_path / "document.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        argv = argv + [str(path)]
     else:
         command, doc = case.split(":")
         path = tmp_path / f"{doc}.json"

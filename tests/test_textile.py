@@ -2,7 +2,6 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest

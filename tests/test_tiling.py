@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict, deque
 
 import pytest
 
@@ -12,6 +13,7 @@ from cktiles.tiling import (
     DOWN,
     RIGHT,
     PavedPatch,
+    StaircaseWitness,
     check_diagonal_property,
     diagonal_property_of_tiles,
     extend_patch,
@@ -196,6 +198,68 @@ def test_search_matches_pairwise_witness_oracle_at_staircase_size():
     outcomes = {label: _search_and_oracle_at_bounds(s, label) for label, s in systems.items()}
     assert outcomes["exchange(5,7)"][-1]
     assert not any(outcomes["circulant(6;0,3;0,3)"])
+
+
+def _reference_witness(sys_, start, target, max_steps):
+    """The witness search with a FIFO queue of (tile index, saw-a-Right,
+    saw-a-Down) tuple states that tests for the goal when it dequeues a state,
+    and the walk back along its parent map."""
+    by_left, by_top = defaultdict(list), defaultdict(list)
+    for idx, t in enumerate(sys_.tiles):
+        by_left[t.left].append(idx)
+        by_top[t.top].append(idx)
+    start_state = (sys_.tiles.index(start), False, False)
+    parents = {start_state: None}
+    frontier = deque([(start_state, 0)])
+    goal = None
+    while frontier:
+        state, depth = frontier.popleft()
+        idx, saw_r, saw_d = state
+        tile = sys_.tiles[idx]
+        if saw_r and saw_d and (tile.top, tile.left) == (target.top, target.left):
+            goal = state
+            break
+        if depth == max_steps:
+            continue
+        steps = [((nxt, True, saw_d), RIGHT) for nxt in by_left[tile.right]]
+        steps += [((nxt, saw_r, True), DOWN) for nxt in by_top[tile.bottom]]
+        for ns, move in steps:
+            if ns not in parents:
+                parents[ns] = (state, move)
+                frontier.append((ns, depth + 1))
+    if goal is None:
+        return None
+    path = []
+    while parents[goal] is not None:
+        prev, move = parents[goal]
+        path.append((move, sys_.tiles[goal[0]]))
+        goal = prev
+    moves, tiles = zip(*reversed(path))
+    rights = moves.count(RIGHT)
+    return StaircaseWitness(
+        start=start, moves=moves, tiles=tiles, end_position=(rights, rights - len(moves))
+    )
+
+
+def test_witness_matches_the_dequeue_time_search_at_every_bound(random_family):
+    systems = [exchange_system(2, 3), exchange_system(3, 4), exchange_system(4, 5)]
+    systems.append(_identity_system())
+    systems.append(canonical_system(circulant_matrix(6, (0, 3)), circulant_matrix(6, (0, 3))))
+    systems.append(canonical_system(circulant_matrix(4, (1,)), circulant_matrix(4, (0, 2))))
+    systems += random_family[::13]
+    found = missing = 0
+    for sys_ in systems:
+        for bound in (1, 2, 3, 2 * len(sys_.omega)):
+            for start in sys_.tiles:
+                for target in sys_.tiles:
+                    witness = find_transitivity_witness(sys_, start, target, bound)
+                    assert witness == _reference_witness(sys_, start, target, bound)
+                    if witness is None:
+                        missing += 1
+                    else:
+                        assert witness_is_valid(sys_, witness, start, target)
+                        found += 1
+    assert found and missing
 
 
 @pytest.mark.parametrize("bound", [True, False, 2.5, "3"])
