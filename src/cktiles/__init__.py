@@ -9,6 +9,8 @@ forms with an independent determinantal-divisor oracle, and the closed-form
 K-theory of exchange systems via the Euclidean algorithm and continuants.
 """
 
+from types import ModuleType as _ModuleType
+
 from .closedform import (
     ClosedFormComparison,
     ClosedFormResult,
@@ -79,68 +81,12 @@ from .tiling import (
     is_transitive_matrix,
     is_transitive_search,
     witness_is_valid,
+    witness_path,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianGroup",
-    "ClosedFormComparison",
-    "ClosedFormResult",
-    "CommutationError",
-    "DiagonalPropertyResult",
-    "DirectedMultigraph",
-    "DOWN",
-    "Edge",
-    "EuclidTrace",
-    "InputError",
-    "InternalCheckError",
-    "IntMatrix",
-    "KGroups",
-    "OracleScaleError",
-    "PavedPatch",
-    "RIGHT",
-    "SnfResult",
-    "Specification",
-    "SpecificationError",
-    "StaircaseWitness",
-    "TextileSystem",
-    "Tile",
-    "ValidationReport",
-    "block_matrix_k0",
-    "build_system",
-    "canonical_specification",
-    "canonical_system",
-    "canonicalize",
-    "check_commutation",
-    "check_diagonal_property",
-    "closed_form_kgroups",
-    "closed_form_order",
-    "cokernel",
-    "continuant",
-    "diagonal_property_of_tiles",
-    "euclid_trace",
-    "exchange_k0_blockwise",
-    "exchange_specification",
-    "exchange_system",
-    "extend_patch",
-    "find_transitivity_witness",
-    "graph_from_matrix",
-    "invariant_factors_oracle",
-    "is_essential",
-    "is_irreducible",
-    "is_transitive_matrix",
-    "is_transitive_search",
-    "kernel_rank",
-    "kgroups_of_system",
-    "satisfies_condition_I",
-    "sigma_ab",
-    "sigma_ba",
-    "smith_normal_form",
-    "torsion_tail_matrix",
-    "torsion_tail_orders",
-    "unreachable_pair",
-    "validate_specification",
-    "verify_closed_form",
-    "witness_is_valid",
-]
+__all__ = sorted(  # every public name imported above
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -14,11 +14,12 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .closedform import verify_closed_form
 from .corpus import standard_corpus
 from .errors import CommutationError, InputError, SpecificationError
-from .graph import unreachable_pair
+from .graph import _int_rows, unreachable_pair
 from .ktheory import block_matrix_k0, kgroups_of_system
 from .textile import (
     Specification,
@@ -29,7 +30,7 @@ from .textile import (
     exchange_specification,
     require_commuting,
 )
-from .tiling import find_transitivity_witness
+from .tiling import witness_path
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -63,13 +64,12 @@ def _load_payload(path):
 
 
 def _require_matrix(payload, name):
+    """The rows, whose entry types are read here only (the graph layer reads their signs)."""
     value = payload.get(name)
-    if not isinstance(value, list) or not value or not all(
-        isinstance(row, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in row)
-        for row in value
-    ):
+    rows = _int_rows(value) if value else None
+    if not rows:
         raise ParseError(f'field "{name}" must be a nonempty list of integer rows')
-    return value
+    return rows
 
 
 def _edge_from_id(graph, value):
@@ -205,8 +205,29 @@ def _system_payload(sys_):
 
 def _render(report, pretty):
     if not pretty:
-        return json.dumps(report, indent=2) + "\n"
+        return _json(report, "\n") + "\n"
     return "\n".join(_pretty_lines(report, 0)) + "\n"
+
+
+def _json(value, pad):
+    """``json.dumps(value, indent=2)``, which indents in pure Python, with less work: for
+    str-keyed dicts, lists, tuples, str, int, bool and None, else TypeError."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):  # _quote refuses a key that is not a str
+        items, brackets = [_quote(k) + ": " + _json(v, inner) for k, v in value.items()], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = [_json(v, inner) for v in value], "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
 def _is_scalar_list(value):
@@ -339,27 +360,12 @@ def cmd_tiles(args):
 
 def cmd_witness(args):
     sys_ = _parse_system(_load_payload(args.input))
-    count = len(sys_.tiles)
-    for value in (args.TILE, args.TILE2):
-        if not 0 <= value < count:
-            raise InputError(f"tile index {value} out of range 0..{count - 1}")
     max_steps = args.max_steps if args.max_steps is not None else 2 * len(sys_.omega)
-    start = sys_.tiles[args.TILE]
-    target = sys_.tiles[args.TILE2]
-    witness = find_transitivity_witness(sys_, start, target, max_steps)
-    tile_index = {t: i for i, t in enumerate(sys_.tiles)}
-    report = {
-        "start": args.TILE,
-        "target": args.TILE2,
-        "max_steps": max_steps,
-        "found": witness is not None,
-    }
+    witness = witness_path(sys_, args.TILE, args.TILE2, max_steps)
+    report = {"start": args.TILE, "target": args.TILE2, "max_steps": max_steps}
+    report["found"] = witness is not None
     if witness is not None:
-        report["witness"] = {
-            "moves": list(witness.moves),
-            "tiles": [tile_index[t] for t in witness.tiles],
-            "end_position": list(witness.end_position),
-        }
+        report["witness"] = dict(zip(("moves", "tiles", "end_position"), map(list, witness)))
     return report, True
 
 

@@ -12,6 +12,7 @@ the support digraph) and condition (I) (every cycle has an exit).
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import InputError
@@ -50,9 +51,9 @@ class DirectedMultigraph:
     def __post_init__(self):
         out = {}
         for e in self.edges:
-            out.setdefault(e.source, []).append(e)
-        object.__setattr__(self, "_position", {e: i for i, e in enumerate(self.edges)})
-        object.__setattr__(self, "_by_key", {e.key: e for e in self.edges})
+            out.setdefault(e[1], []).append(e)
+        object.__setattr__(self, "_position", dict(zip(self.edges, range(len(self.edges)))))
+        object.__setattr__(self, "_by_key", {e[1:]: e for e in self.edges})
         object.__setattr__(self, "_out", out)
 
     def position(self, edge):
@@ -75,19 +76,34 @@ class DirectedMultigraph:
         return m
 
 
+class _IntRows(list):
+    """Lists of ints, as :func:`_int_rows` found; :func:`_square_rows` reads only their signs."""
+
+
 class _SquareRows(list):
     """Rows :func:`_square_rows` has validated; it returns them as they are."""
 
 
+def _int_rows(value):
+    """``value`` as _IntRows if it is a list of lists of ints (bools refused), else None."""
+    lists = type(value) is list and {*map(type, value)} <= {list}
+    return _IntRows(value) if lists and {*map(type, chain.from_iterable(value))} <= {int} else None
+
+
 def _square_rows(matrix):
     """Accept an IntMatrix or nested sequences; return validated row lists."""
-    if type(matrix) is _SquareRows:
+    kind = type(matrix)
+    if kind is _SquareRows:
         return matrix
-    rows = matrix.to_lists() if isinstance(matrix, IntMatrix) else [list(r) for r in matrix]
+    rows = matrix if kind is _IntRows else (
+        matrix.to_lists() if isinstance(matrix, IntMatrix) else [list(r) for r in matrix]
+    )
     n = len(rows)
     for row in rows:
         if len(row) != n:
             raise InputError("matrix must be square")
+        if kind is _IntRows and min(row, default=0) >= 0:
+            continue  # its types are checked: read its sign in C
         for x in row:
             if type(x) is not int:
                 raise InputError(f"matrix entries must be ints, got {x!r}")
@@ -103,24 +119,18 @@ def graph_from_matrix(matrix, tag):
     i+1 to vertex j+1, enumerated deterministically.
     """
     rows = _square_rows(matrix)
-    edges = tuple(
-        Edge(tag, i, j, k)
-        for i, row in enumerate(rows, 1) for j, x in enumerate(row, 1) for k in range(1, x + 1)
-    )
+    new = tuple.__new__  # Edge(...) without its Python-level __new__
+    edges = tuple([
+        new(Edge, (tag, i, j, k))
+        for i, row in enumerate(rows, 1) for j, x in enumerate(row, 1) if x for k in range(1, x + 1)
+    ])
     return DirectedMultigraph(vertex_count=len(rows), edges=edges, label=tag)
 
 
 def is_essential(matrix):
     """True iff every row sum and every column sum is positive."""
     rows = _square_rows(matrix)
-    n = len(rows)
-    for i in range(n):
-        if not any(rows[i]):
-            return False
-    for j in range(n):
-        if not any(rows[i][j] for i in range(n)):
-            return False
-    return True
+    return all(map(any, rows)) and all(map(any, zip(*rows)))
 
 
 def _support_successors(rows):

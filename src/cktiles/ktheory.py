@@ -446,16 +446,16 @@ def kgroups_of_system(sys):
     matrix has the rank of its cokernel's free part.  The block-matrix
     presentation of K0 is not recomputed here; see :func:`block_matrix_k0`.
     """
-    edges = sys.graph_b.edges + sys.graph_a.edges
-    index = {e: i for i, e in enumerate(edges)}
-    rows = [{} for _ in edges]
-    for t in sys.tiles:
-        right, bottom = index[t.right], index[t.bottom]
-        for i in (index[t.left], index[t.top]):
+    nb = len(sys.graph_b.edges)  # B-edges first, then A-edges, each in graph order
+    m = nb + len(sys.graph_a.edges)
+    rows = [{} for _ in range(m)]
+    for top, right, left, bottom in zip(*sys.edge_ids):
+        bottom += nb
+        for i in (left, nb + top):
             row = rows[i]
             row[right] = row.get(right, 0) + 1
             row[bottom] = row.get(bottom, 0) + 1
-    k0 = _cokernel_of_rows(_sparse_rows(rows, -1), len(edges))
+    k0 = _cokernel_of_rows(_sparse_rows(rows, -1), m)
     return KGroups(k0=k0, k1=AbelianGroup(free_rank=k0.free_rank))
 
 

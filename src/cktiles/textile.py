@@ -17,7 +17,8 @@ concatenation of tiles.
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from itertools import groupby
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .errors import CommutationError, InputError, SpecificationError
@@ -88,18 +89,30 @@ class TextileSystem:
     omega: tuple
 
     @cached_property
+    def edge_ids(self):
+        """The integer view of the tiles: four tuples indexed like ``tiles``, each
+        tile's top, right, left and bottom edge as its position in its graph.
+        The K-groups, reachability and staircase searches index tiles off it."""
+        pos_a, pos_b = self.graph_a._position.__getitem__, self.graph_b._position.__getitem__
+        columns = zip(*self.tiles) if self.tiles else ((),) * 4  # top, right, left, bottom
+        return tuple(tuple(map(pos, c)) for pos, c in zip((pos_a, pos_b, pos_b, pos_a), columns))
+
+    @cached_property
     def successors(self):
         """(i, right, below) per tile: its corner pair's index in ``omega`` and
         those of the corner pairs whose left edge is its right edge (A_k's 1s in
         row i) and whose top edge is its bottom edge (B_k's 1s in row i)."""
-        row_of = {corner: i for i, corner in enumerate(self.omega)}
-        by_top, by_left = {}, {}
+        pos_a, pos_b, nb = self.graph_a._position, self.graph_b._position, len(self.graph_b.edges)
+        by_top = [[] for _ in self.graph_a.edges]
+        by_left = [[] for _ in self.graph_b.edges]
+        row_of = {}
         for j, (top, left) in enumerate(self.omega):
-            by_top.setdefault(top, []).append(j)
-            by_left.setdefault(left, []).append(j)
+            top, left = pos_a[top], pos_b[left]
+            by_top[top].append(j)
+            by_left[left].append(j)
+            row_of[top * nb + left] = j
         return tuple(
-            (row_of[(t.top, t.left)], by_left.get(t.right, ()), by_top.get(t.bottom, ()))
-            for t in self.tiles
+            (row_of[t * nb + l], by_left[r], by_top[b]) for t, r, l, b in zip(*self.edge_ids)
         )
 
     def _transition_matrix(self, vertical):
@@ -142,18 +155,29 @@ def _require_same_vertices(ga, gb):
         )
 
 
+MAX_EDGES = 100_000  # |E_A| + |E_B|
+MAX_TILES = 250_000  # sum_k colsum_k(A) rowsum_k(B); exchange(200, 300) has 60,000
+
+
 def essential_graphs(matrix_a, matrix_b):
     """The graphs of A and B; InputError if either has a zero row or column.
 
-    The one input gate, checking each entry once: the CLI and
-    :func:`canonical_system` build graphs here.
+    The one input gate, checking each entry once: the CLI and :func:`canonical_system`
+    build graphs here.  Sizes over MAX_EDGES or MAX_TILES are refused before any edge
+    exists (A and B of two sizes are refused later, before any tile exists).
     """
     rows_a, rows_b = _square_rows(matrix_a), _square_rows(matrix_b)
-    ga, gb = graph_from_matrix(rows_a, "A"), graph_from_matrix(rows_b, "B")
     for name, rows in (("A", rows_a), ("B", rows_b)):
         if not is_essential(rows):
             raise InputError(f"matrix {name} is not essential: it has a zero row or column")
-    return ga, gb
+    edges = sum(map(sum, rows_a)) + sum(map(sum, rows_b))
+    if edges > MAX_EDGES:
+        raise InputError(f"system too large: {edges} edges, over the limit of {MAX_EDGES}")
+    if len(rows_a) == len(rows_b):
+        tiles = sum(map(mul, map(sum, zip(*rows_a)), map(sum, rows_b)))
+        if tiles > MAX_TILES:
+            raise InputError(f"system too large: {tiles} tiles, over the limit of {MAX_TILES}")
+    return graph_from_matrix(rows_a, "A"), graph_from_matrix(rows_b, "B")
 
 
 def sigma_ab(ga, gb):
@@ -172,12 +196,15 @@ def sigma_ba(ga, gb):
 
 
 def _path_counts(first, second):
-    """Row i - 1 counts the paths e.f from vertex i by their end, e in ``first``, f in
-    ``second``; read off the edges, as IntMatrix would check every entry again."""
-    matrix = second.to_matrix()
-    counts = [[0] * len(matrix) for _ in matrix]
-    for e in first.edges:
-        counts[e.source - 1] = list(map(add, counts[e.source - 1], matrix[e.range - 1]))
+    """Entry n (i - 1) + j - 1 counts the paths e.f from vertex i to vertex j, e in
+    ``first``, f in ``second``: the product matrix, row-major, read off ``_out`` a run
+    of parallel edges e at a time (work: nonzero entries times out-degrees, not paths)."""
+    n, out = first.vertex_count, second._out
+    counts = [0] * (n * n)
+    for (i, k), run in groupby(first.edges, itemgetter(1, 2)):
+        base, weight = (i - 1) * n - 1, len([*run])
+        for f in out.get(k, ()):
+            counts[base + f[2]] += weight
     return counts
 
 
@@ -187,10 +214,11 @@ def require_commuting(ga, gb):
     Graphs on different vertex counts raise InputError first.
     """
     _require_same_vertices(ga, gb)
-    for i, (ab, ba) in enumerate(zip(_path_counts(ga, gb), _path_counts(gb, ga)), 1):
-        for j, (x, y) in enumerate(zip(ab, ba), 1):
-            if x != y:
-                raise CommutationError(i, j, x, y)
+    ab, ba = _path_counts(ga, gb), _path_counts(gb, ga)
+    if ab != ba:
+        k = next(k for k, (x, y) in enumerate(zip(ab, ba)) if x != y)
+        i, j = divmod(k, ga.vertex_count)
+        raise CommutationError(i + 1, j + 1, ab[k], ba[k])
 
 
 def canonical_specification(ga, gb):
@@ -202,18 +230,12 @@ def canonical_specification(ga, gb):
     (AB)(i, j) = (BA)(i, j), so commutation is exactly what makes this work.
     """
     require_commuting(ga, gb)
-    domain = tuple(sigma_ab(ga, gb))
-    blocks_ab = {}
-    for alpha, b in domain:
-        blocks_ab.setdefault((alpha.source, b.range), []).append((alpha, b))
-    blocks_ba = {}
-    for a, beta in sigma_ba(ga, gb):
-        blocks_ba.setdefault((a.source, beta.range), []).append((a, beta))
-    mapping = {}
-    for key, ab_list in blocks_ab.items():
-        ba_list = blocks_ba.get(key, [])
-        for pair, image in zip(ab_list, ba_list):
-            mapping[pair] = image
+    domain, n = tuple(sigma_ab(ga, gb)), ga.vertex_count + 1
+
+    def block(path):  # (s, r) as an int; sorted is stable, so each block keeps its order
+        return path[0][1] * n + path[1][2]
+
+    mapping = dict(zip(sorted(domain, key=block), sorted(sigma_ba(ga, gb), key=block)))
     return Specification(domain=domain, mapping=mapping)
 
 
@@ -308,12 +330,14 @@ def validate_specification(kappa, ga, gb):
 
 
 def _assemble(ga, gb, kappa):
-    """Tiles and corner pairs of a kappa known valid; no matrix (see TextileSystem)."""
-    tiles = tuple(Tile(alpha, b, a, beta) for (alpha, b), (a, beta) in kappa.items())
-    pos_a, pos_b = ga._position, gb._position
-    omega = tuple(
-        sorted({(t.top, t.left) for t in tiles}, key=lambda p: (pos_a[p[0]], pos_b[p[1]]))
-    )
+    """Tiles and corner pairs of a kappa known valid; no matrix (see TextileSystem).
+    Tiles are made without Tile's Python-level constructor; each corner pair is
+    keyed by the int position(top) |E_B| + position(left), in lexicographic order."""
+    mapping, new = kappa.mapping, tuple.__new__
+    tiles = tuple(new(Tile, pair + mapping[pair]) for pair in kappa.domain)
+    pos_a, pos_b, nb = ga._position, gb._position, len(gb.edges)
+    corners = {pos_a[t[0]] * nb + pos_b[t[2]]: t[::2] for t in tiles}
+    omega = tuple(map(corners.__getitem__, sorted(corners)))
     return TextileSystem(graph_a=ga, graph_b=gb, kappa=kappa, tiles=tiles, omega=omega)
 
 

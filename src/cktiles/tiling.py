@@ -205,31 +205,29 @@ def _require_bound(max_steps):
         raise InputError(f"max_steps must be a positive int, got {max_steps!r}")
 
 
-def _staircase_bfs(sys, start_idx, max_steps, goal_corner):
+def _staircase_bfs(sys, start_idx, max_steps, target_idx):
     """Breadth-first search over (tile, saw-a-Right, saw-a-Down) states.
 
-    A state is the int ``4 * tile index + 2 * saw_right + saw_down``.  Each
-    tile's Right and Down successors are listed once per call, and the states
-    are swept level by level in the order a FIFO queue would dequeue them.  A
-    state is tested as a goal when it is first discovered; the first goal
-    discovered is the first such a queue would dequeue, and its parent chain
-    is fixed at discovery, so the witness is the one a goal test at dequeue
-    gives.
+    A state is the int ``4 * tile index + 2 * saw_right + saw_down``.  The
+    tiles are listed by left and by top edge once per call, off the system's
+    integer view, and the states are swept level by level in the order a FIFO
+    queue would dequeue them.  A state is tested as a goal when it is first
+    discovered; the first goal discovered is the first such a queue would
+    dequeue, and its parent chain is fixed at discovery, so the witness is the
+    one a goal test at dequeue gives.
 
     Returns the parent map, ``{state: (parent state, move)}`` with None for the
     start, and the first state with both flags set whose tile has the
-    (top, left) corner ``goal_corner``, or None.
+    (top, left) corner of tile ``target_idx``, or None.
     """
-    tiles = sys.tiles
-    by_left, by_top = defaultdict(list), defaultdict(list)
-    goals = set()
-    for idx, t in enumerate(tiles):
-        by_left[t.left].append(4 * idx)
-        by_top[t.top].append(4 * idx)
-        if (t.top, t.left) == goal_corner:
-            goals.add(4 * idx + 3)
-    rights = [by_left.get(t.right, ()) for t in tiles]
-    downs = [by_top.get(t.bottom, ()) for t in tiles]
+    top, right, left, bottom = sys.edge_ids
+    by_left = [[] for _ in sys.graph_b.edges]
+    by_top = [[] for _ in sys.graph_a.edges]
+    for base, l, t in zip(range(0, 4 * len(top), 4), left, top):
+        by_left[l].append(base)
+        by_top[t].append(base)
+    goal_top = top[target_idx]
+    goals = {base | 3 for base in by_left[left[target_idx]] if top[base >> 2] == goal_top}
     parents = {4 * start_idx: None}
     level = [4 * start_idx]
     for _ in range(max_steps):
@@ -237,7 +235,7 @@ def _staircase_bfs(sys, start_idx, max_steps, goal_corner):
         for state in level:
             idx = state >> 2
             flags = (state & 1) | 2  # a Right move sets saw_right
-            for base in rights[idx]:
+            for base in by_left[right[idx]]:
                 nxt = base | flags
                 if nxt not in parents:
                     parents[nxt] = (state, RIGHT)
@@ -245,7 +243,7 @@ def _staircase_bfs(sys, start_idx, max_steps, goal_corner):
                         return parents, nxt
                     discovered.append(nxt)
             flags = (state & 2) | 1  # a Down move sets saw_down
-            for base in downs[idx]:
+            for base in by_top[bottom[idx]]:
                 nxt = base | flags
                 if nxt not in parents:
                     parents[nxt] = (state, DOWN)
@@ -258,6 +256,26 @@ def _staircase_bfs(sys, start_idx, max_steps, goal_corner):
     return parents, None
 
 
+def witness_path(sys, start, target, max_steps):
+    """:func:`find_transitivity_witness` on tile indices: the shortest witness from
+    ``sys.tiles[start]`` to ``sys.tiles[target]`` as (moves, indices, end position), or None."""
+    for value in (start, target):
+        if type(value) is not int or not 0 <= value < len(sys.tiles):
+            raise InputError(f"tile index {value} out of range 0..{len(sys.tiles) - 1}")
+    _require_bound(max_steps)
+    parents, goal = _staircase_bfs(sys, start, max_steps, target)
+    if goal is None:
+        return None
+    path = []
+    while parents[goal] is not None:
+        prev, move = parents[goal]
+        path.append((move, goal >> 2))
+        goal = prev
+    moves, indices = zip(*reversed(path))  # nonempty: the goal saw both moves
+    rights = moves.count(RIGHT)
+    return moves, indices, (rights, rights - len(moves))
+
+
 def find_transitivity_witness(sys, start, target, max_steps):
     """Shortest staircase witness from ``start`` to ``target``, by breadth-first search.
 
@@ -267,25 +285,19 @@ def find_transitivity_witness(sys, start, target, max_steps):
     when it is discovered, which finds the witness a FIFO search testing at
     dequeue finds.  Returns None when no witness exists within
     ``max_steps`` moves; that is a result, not an error.  Every link is read
-    off the successor lists, so the witness is valid as built;
+    off the tiles listed by edge, so the witness is valid as built;
     :func:`witness_is_valid` re-verifies it in tests.
     """
-    _require_bound(max_steps)
-    tile_index = {t: i for i, t in enumerate(sys.tiles)}
-    if start not in tile_index or target not in tile_index:
+    tiles = sys.tiles
+    if start not in tiles or target not in tiles:
         raise InputError("both tiles must belong to the system's tile set")
-    parents, goal = _staircase_bfs(sys, tile_index[start], max_steps, (target.top, target.left))
-    if goal is None:
+    found = witness_path(sys, tiles.index(start), tiles.index(target), max_steps)
+    if found is None:
         return None
-    path = []
-    while parents[goal] is not None:
-        prev, move = parents[goal]
-        path.append((move, sys.tiles[goal >> 2]))
-        goal = prev
-    moves, tiles = zip(*reversed(path))  # nonempty: the goal saw both moves
-    rights = moves.count(RIGHT)
+    moves, indices, end_position = found
     return StaircaseWitness(
-        start=start, moves=moves, tiles=tiles, end_position=(rights, rights - len(moves))
+        start=start, moves=moves, tiles=tuple(map(tiles.__getitem__, indices)),
+        end_position=end_position,
     )
 
 
@@ -345,15 +357,17 @@ def is_transitive_search(sys, max_steps=None):
     if max_steps is None:
         max_steps = 2 * len(sys.omega)
     _require_bound(max_steps)
-    right, down = defaultdict(lambda: [0, 0]), defaultdict(lambda: [0, 0])
+    nb = len(sys.graph_b.edges)
+    right = [[0, 0] for _ in sys.graph_b.edges]  # by B-edge: tiles leaving, entering
+    down = [[0, 0] for _ in sys.graph_a.edges]  # by A-edge
     corners = defaultdict(int)
-    for k, t in enumerate(sys.tiles):
-        right[t.right][0] |= 1 << k
-        right[t.left][1] |= 1 << k
-        down[t.bottom][0] |= 1 << k
-        down[t.top][1] |= 1 << k
-        corners[(t.top, t.left)] |= 1 << k
-    masks = (tuple(right.values()), tuple(down.values()), list(corners.values()))
+    for k, (t, r, l, b) in enumerate(zip(*sys.edge_ids)):
+        right[r][0] |= 1 << k
+        right[l][1] |= 1 << k
+        down[b][0] |= 1 << k
+        down[t][1] |= 1 << k
+        corners[t * nb + l] |= 1 << k
+    masks = (right, down, list(corners.values()))
     return all(_staircase_sweep(k, max_steps, *masks) for k in range(len(sys.tiles)))
 
 

@@ -615,3 +615,102 @@ _COMMANDS = st.one_of(
 @given(_COMMANDS)
 def test_main_exits_with_a_documented_code_on_any_size(argv):
     _assert_documented_exit([str(arg) for arg in argv])
+
+
+# --- size limits, the entry gate and the JSON renderer ------------------------
+
+
+def _refuse_to_build(monkeypatch):
+    """Make every construction step raise, at every binding site, so that a
+    missing size check fails here instead of allocating the system."""
+
+    def refuse(*args):
+        raise AssertionError("an over-limit system reached construction")
+
+    for home, name in ((graph, "graph_from_matrix"), (textile, "_assemble"),
+                       (textile, "require_commuting"), (textile, "validate_specification")):
+        original = getattr(home, name)
+        for key, module in list(sys.modules.items()):
+            if key.startswith("cktiles.") and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"A": [[3000]], "B": [[3000]], "kappa": "exchange"},
+         "input error: system too large: 9000000 tiles, over the limit of 250000\n"),
+        ({"A": [[10**9]], "B": [[10**9]]},
+         "input error: system too large: 2000000000 edges, over the limit of 100000\n"),
+    ],
+    ids=["exchange-3000", "entry-1e9"],
+)
+def test_over_limit_systems_are_refused_before_any_edge_exists(
+    tmp_path, capsys, monkeypatch, payload, message
+):
+    _refuse_to_build(monkeypatch)
+    path = _write(tmp_path, payload)
+    for command in (["check"], ["kgroups"], ["tiles"], ["witness", "0", "1"]):
+        assert _run(capsys, command + [path]) == (3, "", message)
+    with pytest.raises(InputError, match="system too large"):
+        canonical_system(payload["A"], payload["B"])
+
+
+def test_limits_admit_exchange_200_300():
+    assert textile.MAX_TILES >= 200 * 300 and textile.MAX_EDGES >= 200 + 300
+    with pytest.raises(InputError, match="not essential"):  # checked before the limits
+        textile.essential_graphs([[0]], [[10**9]])
+
+
+def test_cli_reads_each_entry_type_once(tmp_path, capsys, monkeypatch):
+    # cli._require_matrix reads the types; _square_rows then reads only the signs
+    typed = _count_calls(monkeypatch, graph, "_int_rows")
+    rows = _count_calls(monkeypatch, graph, "_square_rows")
+    for payload in _DOCUMENTS:
+        typed.clear()
+        rows.clear()
+        assert _run(capsys, ["check", _write(tmp_path, payload)])[0] == 0
+        assert [value for (value,) in typed] == [payload["A"], payload["B"]]
+        assert {type(m) for (m,) in rows} <= {graph._IntRows, graph._SquareRows}
+
+
+@pytest.mark.parametrize(
+    "payload, code, message",
+    [
+        ({"A": [[1, 0]], "B": [[True]]}, 2, 'parse error: field "B" must be'),
+        ({"A": [[-1]], "B": [[1.5]]}, 2, 'parse error: field "B" must be'),
+        ({"A": [[1, "x"]], "B": [[1, 0]]}, 2, 'parse error: field "A" must be'),
+        ({"A": [[1], [2]], "B": [[-1]]}, 3, "input error: matrix must be square"),
+        ({"A": [[1, 1], [1, 1]], "B": [[1, -2], [1, 1]]}, 3,
+         "input error: matrix entries must be nonnegative, got -2"),
+        ({"A": [[1, -1], [1]], "B": [[1]]}, 3, "input error: matrix entries must be nonnegative"),
+    ],
+)
+def test_entry_types_of_both_matrices_come_before_shapes(tmp_path, capsys, payload, code, message):
+    exit_code, out, err = _run(capsys, ["check", _write(tmp_path, payload)])
+    assert (exit_code, out) == (code, "")
+    assert err.startswith(message)
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64, max_value=10**300)
+    | st.text()
+    | st.sampled_from(["", "\"\\/\b\f\n\r\t", "\x00\x1f\x7f", "é ü ñ", "日本", "\U0001f600"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_renderer_matches_json_dumps_with_indent(value):
+    assert cli._render(value, False) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, {1: 2}, {"a": {1, 2}}, [object()], {None: 1}])
+def test_renderer_refuses_what_it_does_not_render(value):
+    with pytest.raises(TypeError):
+        cli._render(value, False)

@@ -53,6 +53,15 @@ SCALE_DOCUMENTS = {
 
 SCALE_COMMANDS = ("check", "kgroups", "witness")
 
+# circulant systems whose (s, r) blocks hold several (alpha, b) pairs, so the
+# canonical matching, the tile order and the corner-pair order all show
+BLOCK_DOCUMENTS = {
+    "circulant-6-124-234": {"A": _circulant(6, {1, 2, 4}), "B": _circulant(6, {2, 3, 4})},
+    "circulant-6-03-03": {"A": _circulant(6, {0, 3}), "B": _circulant(6, {0, 3})},
+}
+
+BLOCK_COMMANDS = ("check", "tiles", "witness")
+
 # exchange(20, 20), n = 400, on the command that computes both K0 presentations
 LARGE_DOCUMENTS = {"exchange-20-20": {"A": [[20]], "B": [[20]], "kappa": "exchange"}}
 
@@ -70,6 +79,9 @@ WITNESS_PINS = {
     ),
     "witness-0-4:circulant-6-03-03": (
         ["witness", "0", "4"], {"A": _circulant(6, {0, 3}), "B": _circulant(6, {0, 3})}
+    ),
+    "witness-pretty-3-40:exchange-7-8": (
+        ["witness", "--pretty", "3", "40"], {"A": [[7]], "B": [[8]], "kappa": "exchange"}
     ),
 }
 
@@ -179,6 +191,14 @@ GOLDEN = {
     "check:random-circulant-8": ("cea6b8a5038ed2795f582ac720be24e2bdd754df017c2e811c6b0f835d90e53f", 0),
     "kgroups:random-circulant-8": ("1314f26395d143c74f4291582619eb4707a7965fe8573429b2dd742fcda0659a", 0),
     "witness:random-circulant-8": ("b40f446d523b6a84d16efad0f2486088105c2389d7ed7206e610cc746f207005", 0),
+    # blocks of several pairs, recorded before Edge, Tile and the corner-pair
+    # order were built from tuple slices and integer keys
+    "check:circulant-6-124-234": ("b9e748bd657ec3dbad032236f8e25598b672f39bdb80c54a8791e02a017e8038", 0),
+    "tiles:circulant-6-124-234": ("e91e14578bf32fc32f76a66552dd21cead26fa5af6e2ff48385a40059b11040c", 0),
+    "witness:circulant-6-124-234": ("8fe6ff5a78b6fde3685224d874db2ea28ab413f0dffb84f02ff3f8cac5490b8a", 0),
+    "check:circulant-6-03-03": ("11e50057995cc2e009522d8bf6db773479a72a23878614e7ccead6b35f8193dc", 0),
+    "tiles:circulant-6-03-03": ("a07085328bae25c3e3efaac0f07397c521bce8f57acb13f898a7785bde5a5141", 0),
+    "witness:circulant-6-03-03": ("26906c867723f827876c65ade01368bd48e3f737f73bd9bbfc42e626cf930b47", 0),
     # recorded while K0 was still the cokernel of the n x n matrix
     # A_k + B_k - I_n, before the (|E_A| + |E_B|)-square edge presentation
     "closedform-40-40": ("34742f419c4e62f863f1890c197d561847f7d5c0403c6f7bcbdb33d7bac69bec", 0),
@@ -188,6 +208,8 @@ GOLDEN = {
     "witness-3-40:exchange-7-8": ("f2d0d1dbafdc89d8c39fda77622969fb12344d90452154b874ad26739d886d9a", 0),
     "witness-0-2-max-steps-2:circulant-3": ("6215d63a40948c8ab24ef66004745ecaf7d31051e07102a2f1e710a932a6c3e6", 0),
     "witness-0-4:circulant-6-03-03": ("b13f93b4e11c5b0490648efe5199621250d577a47f19685dcfb1f82384cd8419", 0),
+    # recorded while cmd_witness still mapped witness tiles back to indices
+    "witness-pretty-3-40:exchange-7-8": ("ab3983009c97b1ffdc875557aacd352d9fb43f5b3d0724cad51460d89490eacc", 0),
 }
 
 
@@ -197,6 +219,9 @@ def _cases():
             yield f"{command}:{doc}"
     for doc in SCALE_DOCUMENTS:
         for command in SCALE_COMMANDS:
+            yield f"{command}:{doc}"
+    for doc in BLOCK_DOCUMENTS:
+        for command in BLOCK_COMMANDS:
             yield f"{command}:{doc}"
     for doc in LARGE_DOCUMENTS:
         for command in LARGE_COMMANDS:
@@ -216,7 +241,7 @@ def _outcome(case, tmp_path, capsys):
     else:
         command, doc = case.split(":")
         path = tmp_path / f"{doc}.json"
-        document = {**DOCUMENTS, **SCALE_DOCUMENTS, **LARGE_DOCUMENTS}[doc]
+        document = {**DOCUMENTS, **SCALE_DOCUMENTS, **BLOCK_DOCUMENTS, **LARGE_DOCUMENTS}[doc]
         path.write_text(json.dumps(document), encoding="utf-8")
         argv = DOCUMENT_COMMANDS[command] + [str(path)]
     code = main(argv)

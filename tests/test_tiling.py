@@ -381,3 +381,44 @@ def test_paved_patch_rejects_conflicts_and_disconnection():
     conflicting = next(u for u in sys_.tiles if u.left != t.right)
     with pytest.raises(InputError):
         patch.with_tile((1, 0), conflicting)
+
+
+def test_witness_path_is_the_witness_search_on_indices(random_family):
+    systems = [exchange_system(3, 4), _identity_system()] + random_family[::16]
+    for sys_ in systems:
+        for bound in (2, 2 * len(sys_.omega)):
+            for i, start in enumerate(sys_.tiles):
+                for j, target in enumerate(sys_.tiles):
+                    witness = find_transitivity_witness(sys_, start, target, bound)
+                    found = tiling.witness_path(sys_, i, j, bound)
+                    if witness is None:
+                        assert found is None
+                    else:
+                        moves, indices, end_position = found
+                        assert moves == witness.moves and end_position == witness.end_position
+                        assert tuple(sys_.tiles[k] for k in indices) == witness.tiles
+
+
+@pytest.mark.parametrize(
+    "start, target, bound, message",
+    [
+        (0, 6, 4, "tile index 6 out of range 0..5"),
+        (-1, 0, 4, "tile index -1 out of range 0..5"),
+        (True, 0, 4, "tile index True out of range 0..5"),
+        (7, 0, 0, "tile index 7 out of range 0..5"),  # indices before the bound
+        (0, 1, 0, "max_steps must be a positive int, got 0"),
+    ],
+)
+def test_witness_path_refuses_bad_indices_and_bounds(start, target, bound, message):
+    with pytest.raises(InputError, match=message):
+        tiling.witness_path(exchange_system(2, 3), start, target, bound)
+
+
+def test_edge_ids_hold_each_tiles_edge_positions(random_family):
+    for sys_ in random_family[::8] + [exchange_system(4, 5)]:
+        columns = sys_.edge_ids
+        graphs = (sys_.graph_a, sys_.graph_b, sys_.graph_b, sys_.graph_a)
+        assert [len(c) for c in columns] == [len(sys_.tiles)] * 4
+        for k, tile in enumerate(sys_.tiles):
+            assert tuple(g.edges[c[k]] for g, c in zip(graphs, columns)) == tile
+        assert sys_.edge_ids is columns  # built once, on first read
