@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .closedform import verify_closed_form
 from .corpus import standard_corpus
 from .errors import CommutationError, InputError, SpecificationError
-from .graph import _int_rows, unreachable_pair
+from .graph import _int_rows
 from .ktheory import block_matrix_k0, kgroups_of_system
 from .textile import (
     Specification,
@@ -30,7 +30,7 @@ from .textile import (
     exchange_specification,
     require_commuting,
 )
-from .tiling import witness_path
+from .tiling import _unreachable_corner_pair, witness_path
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -152,19 +152,11 @@ def _check_payload(sys_):
       pair, and by its (left, bottom) pair, its image, so each diagonal pair
       has at most one tile below and one beside.
     """
-    successors = [[] for _ in sys_.omega]  # A_k + B_k's 1s per row, off the tiles
-    for i, right, below in sys_.successors:
-        successors[i] += right
-        successors[i] += below
-    unreachable = unreachable_pair(successors)
+    unreachable = _unreachable_corner_pair(sys_)
     transitive = unreachable is None
-    if transitive:
-        transitive_detail = "A_k + B_k is irreducible"
-    else:
-        p, q = unreachable
-        transitive_detail = (
-            f"no path from corner pair {p} to corner pair {q} in A_k + B_k"
-        )
+    transitive_detail = "A_k + B_k is irreducible" if transitive else (
+        "no path from corner pair {} to corner pair {} in A_k + B_k".format(*unreachable)
+    )
     checks = {
         "a_essential": {"ok": True, "detail": "no zero row or column in A"},
         "b_essential": {"ok": True, "detail": "no zero row or column in B"},
@@ -324,6 +316,7 @@ def cmd_closedform(args):
 def cmd_sweep(args):
     if args.NMAX < 2 or args.MMAX < 2:
         raise InputError("sweep bounds must be at least 2")
+    essential_graphs([[min(args.NMAX, args.MMAX)]], [[args.MMAX]])  # the largest pair's size
     rows = []
     all_agree = True
     for n in range(2, args.NMAX + 1):

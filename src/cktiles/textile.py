@@ -15,7 +15,7 @@ with the 0/1 transition matrices describing horizontal and vertical
 concatenation of tiles.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter, mul
@@ -74,12 +74,14 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class TextileSystem:
-    """A built tile system: tiles and corner pairs, with matrices derived on read.
+    """A built tile system: tiles, corner pairs and their integer view; matrices on read.
 
     ``omega`` lists the (top, left) corners of tiles in lexicographic order of
-    edge positions.  The {0,1} transition matrices ``a_kappa`` (horizontal)
-    and ``b_kappa`` (vertical) on ``omega`` and the block matrix ``h_kappa``
-    are dense, so each is built on first read; the K-groups read none of them.
+    edge positions.  The integer view, which :func:`_assemble` builds and every
+    check and search reads, is ``edge_ids``, four tuples indexed like ``tiles``
+    (each tile's top, right, left and bottom edge as its position in its graph),
+    and ``corner_ids``, each tile's corner pair as its index in ``omega``.  The
+    dense {0,1} matrices ``a_kappa``, ``b_kappa`` and ``h_kappa`` are built on first read.
     """
 
     graph_a: object
@@ -87,33 +89,22 @@ class TextileSystem:
     kappa: Specification
     tiles: tuple
     omega: tuple
-
-    @cached_property
-    def edge_ids(self):
-        """The integer view of the tiles: four tuples indexed like ``tiles``, each
-        tile's top, right, left and bottom edge as its position in its graph.
-        The K-groups, reachability and staircase searches index tiles off it."""
-        pos_a, pos_b = self.graph_a._position.__getitem__, self.graph_b._position.__getitem__
-        columns = zip(*self.tiles) if self.tiles else ((),) * 4  # top, right, left, bottom
-        return tuple(tuple(map(pos, c)) for pos, c in zip((pos_a, pos_b, pos_b, pos_a), columns))
+    edge_ids: tuple = field(compare=False)  # derived from the tiles, as is corner_ids
+    corner_ids: tuple = field(compare=False)
 
     @cached_property
     def successors(self):
-        """(i, right, below) per tile: its corner pair's index in ``omega`` and
-        those of the corner pairs whose left edge is its right edge (A_k's 1s in
-        row i) and whose top edge is its bottom edge (B_k's 1s in row i)."""
-        pos_a, pos_b, nb = self.graph_a._position, self.graph_b._position, len(self.graph_b.edges)
-        by_top = [[] for _ in self.graph_a.edges]
-        by_left = [[] for _ in self.graph_b.edges]
-        row_of = {}
-        for j, (top, left) in enumerate(self.omega):
-            top, left = pos_a[top], pos_b[left]
-            by_top[top].append(j)
-            by_left[left].append(j)
-            row_of[top * nb + left] = j
-        return tuple(
-            (row_of[t * nb + l], by_left[r], by_top[b]) for t, r, l, b in zip(*self.edge_ids)
-        )
+        """(i, right, below) per tile: its corner pair i, from ``corner_ids``, and the corner
+        pairs whose left edge is its right edge (A_k's 1s in row i) and whose top edge
+        is its bottom edge (B_k's 1s in row i)."""
+        top, right, left, bottom = self.edge_ids
+        tile_at = dict(zip(self.corner_ids, range(len(top))))  # corner pair -> a tile there
+        by_top, by_left = [[] for _ in self.graph_a.edges], [[] for _ in self.graph_b.edges]
+        for i in range(len(self.omega)):
+            by_top[top[tile_at[i]]].append(i)
+            by_left[left[tile_at[i]]].append(i)
+        beside, below = map(by_left.__getitem__, right), map(by_top.__getitem__, bottom)
+        return tuple(zip(self.corner_ids, beside, below))
 
     def _transition_matrix(self, vertical):
         n = len(self.omega)
@@ -162,9 +153,10 @@ MAX_TILES = 250_000  # sum_k colsum_k(A) rowsum_k(B); exchange(200, 300) has 60,
 def essential_graphs(matrix_a, matrix_b):
     """The graphs of A and B; InputError if either has a zero row or column.
 
-    The one input gate, checking each entry once: the CLI and :func:`canonical_system`
-    build graphs here.  Sizes over MAX_EDGES or MAX_TILES are refused before any edge
-    exists (A and B of two sizes are refused later, before any tile exists).
+    The one input gate, checking each entry once: the CLI, :func:`canonical_system`
+    and :func:`exchange_system` build graphs here.  Sizes over MAX_EDGES or
+    MAX_TILES are refused before any edge exists (A and B of two sizes are refused
+    later, before any tile exists).
     """
     rows_a, rows_b = _square_rows(matrix_a), _square_rows(matrix_b)
     for name, rows in (("A", rows_a), ("B", rows_b)):
@@ -330,15 +322,20 @@ def validate_specification(kappa, ga, gb):
 
 
 def _assemble(ga, gb, kappa):
-    """Tiles and corner pairs of a kappa known valid; no matrix (see TextileSystem).
-    Tiles are made without Tile's Python-level constructor; each corner pair is
-    keyed by the int position(top) |E_B| + position(left), in lexicographic order."""
+    """Tiles, corner pairs and their integer view for a kappa known valid; no matrix.
+    The one place a built system's edges become ints: each tile's four edges are
+    looked up once; each corner pair's key position(top) |E_B| + position(left)
+    orders Ω and gives ``corner_ids``.  Tiles skip Tile's Python-level __new__."""
     mapping, new = kappa.mapping, tuple.__new__
     tiles = tuple(new(Tile, pair + mapping[pair]) for pair in kappa.domain)
-    pos_a, pos_b, nb = ga._position, gb._position, len(gb.edges)
-    corners = {pos_a[t[0]] * nb + pos_b[t[2]]: t[::2] for t in tiles}
-    omega = tuple(map(corners.__getitem__, sorted(corners)))
-    return TextileSystem(graph_a=ga, graph_b=gb, kappa=kappa, tiles=tiles, omega=omega)
+    pos_a, pos_b = ga._position.__getitem__, gb._position.__getitem__
+    columns = zip(*tiles) if tiles else ((),) * 4  # top, right, left, bottom
+    ids = tuple(tuple(map(pos, c)) for pos, c in zip((pos_a, pos_b, pos_b, pos_a), columns))
+    keys = [t * len(gb.edges) + l for t, l in zip(ids[0], ids[2])]
+    corners = dict(zip(keys, map(itemgetter(0, 2), tiles)))  # key -> (top, left)
+    order = dict(zip(sorted(corners), range(len(corners))))  # key -> index in Ω
+    omega = tuple(map(corners.__getitem__, order))
+    return TextileSystem(ga, gb, kappa, tiles, omega, ids, tuple(map(order.__getitem__, keys)))
 
 
 def build_system(ga, gb, kappa):
@@ -361,6 +358,6 @@ def canonical_system(matrix_a, matrix_b):
 
 
 def exchange_system(n, m):
-    """Build the exchange system for the single-vertex graphs [n] and [m]."""
-    ga, gb = graph_from_matrix([[n]], "A"), graph_from_matrix([[m]], "B")
+    """Build the exchange system for the single-vertex graphs [n] and [m], through the gate."""
+    ga, gb = essential_graphs([[n]], [[m]])
     return _assemble(ga, gb, exchange_specification(ga, gb))

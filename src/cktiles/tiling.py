@@ -21,7 +21,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graph import is_irreducible
+from .graph import unreachable_pair
 
 RIGHT = "right"
 DOWN = "down"
@@ -139,13 +139,16 @@ def diagonal_property_of_tiles(tiles):
     For tiles w1 at (i, j) and w2 at (i+1, j-1), a completion is a pair
     (w3, w4) for positions (i, j-1) and (i+1, j): w3 must satisfy
     t(w3) = b(w1) and r(w3) = l(w2); w4 must satisfy l(w4) = r(w1) and
-    b(w4) = t(w2).  The property holds iff every such count is at most 1.
+    b(w4) = t(w2).  The property holds iff every such count is at most 1, as
+    it does at once when no two tiles share a (top, right) or (left, bottom).
     """
     by_top_right = defaultdict(list)
     by_left_bottom = defaultdict(list)
     for t in tiles:
         by_top_right[(t.top, t.right)].append(t)
         by_left_bottom[(t.left, t.bottom)].append(t)
+    if len(by_top_right) == len(by_left_bottom) == len(tiles):
+        return DiagonalPropertyResult(ok=True)
     for w1 in tiles:
         for w2 in tiles:
             below = by_top_right.get((w1.bottom, w2.left), ())
@@ -161,13 +164,22 @@ def check_diagonal_property(sys):
     return diagonal_property_of_tiles(sys.tiles)
 
 
+def _unreachable_corner_pair(sys):
+    """:func:`~cktiles.graph.unreachable_pair` on A_k + B_k, its 1s read off the
+    successors: None iff A_k + B_k is irreducible (with at least one corner pair)."""
+    heads = [[] for _ in sys.omega]
+    for i, right, below in sys.successors:
+        heads[i] += right + below
+    return unreachable_pair(heads)
+
+
 def is_transitive_matrix(sys):
     """Matrix criterion for transitivity: the sum of transition matrices is irreducible.
 
-    Irreducibility of the doubled block matrix H_k is the same condition; the
-    test suite checks that the two agree, so it is not recomputed here.
+    Decided on the successor lists, building no matrix.  Irreducibility of the
+    dense A_k + B_k or H_k is the same condition; the tests check they agree.
     """
-    return is_irreducible(sys.a_kappa + sys.b_kappa)
+    return bool(sys.omega) and _unreachable_corner_pair(sys) is None
 
 
 def witness_is_valid(sys, witness, start, target):
@@ -357,18 +369,16 @@ def is_transitive_search(sys, max_steps=None):
     if max_steps is None:
         max_steps = 2 * len(sys.omega)
     _require_bound(max_steps)
-    nb = len(sys.graph_b.edges)
     right = [[0, 0] for _ in sys.graph_b.edges]  # by B-edge: tiles leaving, entering
     down = [[0, 0] for _ in sys.graph_a.edges]  # by A-edge
-    corners = defaultdict(int)
-    for k, (t, r, l, b) in enumerate(zip(*sys.edge_ids)):
+    corners = [0] * len(sys.omega)
+    for k, (t, r, l, b, c) in enumerate(zip(*sys.edge_ids, sys.corner_ids)):
         right[r][0] |= 1 << k
         right[l][1] |= 1 << k
         down[b][0] |= 1 << k
         down[t][1] |= 1 << k
-        corners[t * nb + l] |= 1 << k
-    masks = (right, down, list(corners.values()))
-    return all(_staircase_sweep(k, max_steps, *masks) for k in range(len(sys.tiles)))
+        corners[c] |= 1 << k
+    return all(_staircase_sweep(k, max_steps, right, down, corners) for k in range(len(sys.tiles)))
 
 
 def extend_patch(sys, patch, position):

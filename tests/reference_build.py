@@ -1,7 +1,8 @@
 """Reference builds: the graph, specification and tile-system construction as
 written before Edge, Tile and the corner-pair order were made from tuple
-slices and integer keys, and before the commutation check counted paths off
-the out-edge lists.  ``tests/test_reference_build.py`` compares the library's
+slices and integer keys, before the commutation check counted paths off the
+out-edge lists, and before one pass over the tiles gave their edge positions
+and corner-pair indices.  ``tests/test_reference_build.py`` compares the library's
 builds with these on every system family the tests use.
 """
 
@@ -81,13 +82,21 @@ def canonical_specification(ga, gb):
 
 
 def assemble(ga, gb, kappa):
-    """Tiles through Tile's constructor; corner pairs sorted by a key of two lookups."""
+    """Tiles through Tile's constructor; corner pairs sorted by a key of two lookups;
+    each tile's edges looked up by position one at a time, and its corner pair found
+    in a ``{corner: index}`` dict."""
     tiles = tuple(Tile(alpha, b, a, beta) for (alpha, b), (a, beta) in kappa.items())
     pos_a, pos_b = ga._position, gb._position
     omega = tuple(
         sorted({(t.top, t.left) for t in tiles}, key=lambda p: (pos_a[p[0]], pos_b[p[1]]))
     )
-    return TextileSystem(graph_a=ga, graph_b=gb, kappa=kappa, tiles=tiles, omega=omega)
+    rows = [(pos_a[t.top], pos_b[t.right], pos_b[t.left], pos_a[t.bottom]) for t in tiles]
+    edge_ids = tuple(tuple(row[i] for row in rows) for i in range(4))
+    row_of = {corner: i for i, corner in enumerate(omega)}
+    return TextileSystem(
+        graph_a=ga, graph_b=gb, kappa=kappa, tiles=tiles, omega=omega, edge_ids=edge_ids,
+        corner_ids=tuple(row_of[(t.top, t.left)] for t in tiles),
+    )
 
 
 def successors(system):

@@ -656,6 +656,44 @@ def test_over_limit_systems_are_refused_before_any_edge_exists(
         canonical_system(payload["A"], payload["B"])
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["closedform", "600", "600"], "360000 tiles, over the limit of 250000"),
+        (["closedform", str(10**30), str(10**30 + 1)],
+         f"{2 * 10**30 + 1} edges, over the limit of 100000"),
+        (["sweep", "600", "600"], "360000 tiles, over the limit of 250000"),
+        # no pair has N > M: the largest is (501, 501)
+        (["sweep", "600", "501"], "251001 tiles, over the limit of 250000"),
+        (["sweep", "2", "200000"], "200002 edges, over the limit of 100000"),
+    ],
+)
+def test_exchange_commands_are_refused_over_the_limits(capsys, monkeypatch, argv, message):
+    _refuse_to_build(monkeypatch)
+    assert _run(capsys, argv) == (3, "", f"input error: system too large: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["closedform", "1", str(10**30)], "require N > 1"),
+        (["closedform", str(10**30), "5"], f"require N <= M (no silent swap), got N={10**30}, M=5"),
+        (["sweep", "1", "10"], "sweep bounds must be at least 2"),
+    ],
+)
+def test_exchange_commands_check_their_pair_before_the_limits(capsys, monkeypatch, argv, message):
+    _refuse_to_build(monkeypatch)
+    assert _run(capsys, argv) == (3, "", f"input error: {message}\n")
+
+
+def test_exchange_system_goes_through_the_input_gate(monkeypatch):
+    _refuse_to_build(monkeypatch)
+    with pytest.raises(InputError, match="system too large: 360000 tiles"):
+        textile.exchange_system(600, 600)
+    with pytest.raises(InputError, match="matrix A is not essential"):
+        textile.exchange_system(0, 3)
+
+
 def test_limits_admit_exchange_200_300():
     assert textile.MAX_TILES >= 200 * 300 and textile.MAX_EDGES >= 200 + 300
     with pytest.raises(InputError, match="not essential"):  # checked before the limits

@@ -1,7 +1,8 @@
 """The library's graph, specification and tile-system builds against the
 reference builds of ``tests/reference_build.py``: equal graphs with equal
 indexes, equal specifications, the same tiles and corner pairs in the same
-order, the same successor lists, and the same first differing entry cited by
+order, the same edge positions and corner-pair indices per tile, the same
+successor lists, and the same first differing entry cited by
 every commutation error."""
 
 import json
@@ -37,6 +38,7 @@ def _same_system(new, old):
     assert new.kappa == old.kappa
     assert new.tiles == old.tiles and all(type(t) is Tile for t in new.tiles)
     assert new.omega == old.omega
+    assert new.edge_ids == old.edge_ids and new.corner_ids == old.corner_ids
     assert new == old
     assert new.successors == ref.successors(old)
 

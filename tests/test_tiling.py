@@ -6,9 +6,17 @@ import pytest
 from cktiles import tiling
 from cktiles.corpus import circulant_matrix, standard_corpus
 from cktiles.errors import InputError
-from cktiles.graph import is_irreducible
+from cktiles.graph import graph_from_matrix, is_irreducible
 from cktiles.matrices import IntMatrix
-from cktiles.textile import Tile, canonical_system, exchange_system
+from cktiles.ktheory import block_matrix_k0, kgroups_of_system
+from cktiles.textile import (
+    Specification,
+    Tile,
+    build_system,
+    canonical_system,
+    essential_graphs,
+    exchange_system,
+)
 from cktiles.tiling import (
     DOWN,
     RIGHT,
@@ -421,4 +429,118 @@ def test_edge_ids_hold_each_tiles_edge_positions(random_family):
         assert [len(c) for c in columns] == [len(sys_.tiles)] * 4
         for k, tile in enumerate(sys_.tiles):
             assert tuple(g.edges[c[k]] for g, c in zip(graphs, columns)) == tile
-        assert sys_.edge_ids is columns  # built once, on first read
+            # _assemble fills both views once; corner_ids index omega
+            assert sys_.omega[sys_.corner_ids[k]] == (tile.top, tile.left)
+
+
+@pytest.mark.parametrize(
+    "edges, pair, completions",
+    [
+        (("cacc", "aabb", "cccc", "ccbb", "bbcc", "abba"), (2, 0),
+         [(i, j) for i in (2, 3) for j in (0, 2, 4)]),
+        (("abba", "cbba"), (0, 0), [(0, 0), (0, 1)]),  # only a (left, bottom) pair repeats
+        (("abba", "abba"), (0, 0), [(0, 0)] * 4),  # one tile listed twice
+    ],
+)
+def test_diagonal_property_names_the_first_counterexample(edges, pair, completions):
+    # recorded from the pair-by-pair count, before tile sets with no shared
+    # (top, right) or (left, bottom) pair were passed after one pass
+    tiles = [Tile(*e) for e in edges]
+    result = diagonal_property_of_tiles(tiles)
+    assert not result.ok
+    assert result.pair == tuple(tiles[i] for i in pair)
+    assert result.completions == tuple((tiles[i], tiles[j]) for i, j in completions)
+
+
+class _CountedIterations(tuple):
+    """Tiles that count how often they are iterated over."""
+
+    iterations = 0
+
+    def __iter__(self):
+        type(self).iterations += 1
+        return super().__iter__()
+
+
+def test_diagonal_property_of_a_built_system_counts_no_pairs():
+    # one pass over the tiles, none per tile: exchange(100, 150) has 2.25e8 pairs
+    tiles = _CountedIterations(exchange_system(30, 40).tiles)
+    assert diagonal_property_of_tiles(tiles).ok
+    assert _CountedIterations.iterations == 1
+
+
+def _exchange_pairs():
+    return [exchange_system(n, m) for n in range(2, 9) for m in range(2, 9)]
+
+
+def test_transitivity_matrix_matches_the_dense_sum(corpus, random_family):
+    systems = [e.system for e in corpus] + random_family + _exchange_pairs()
+    answers = [is_transitive_matrix(sys_) for sys_ in systems]
+    assert answers == [is_irreducible(sys_.a_kappa + sys_.b_kappa) for sys_ in systems]
+    assert True in answers and False in answers
+
+
+def _no_dense_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense IntMatrix was built")
+
+    monkeypatch.setattr(IntMatrix, "__init__", refuse)
+
+
+def test_transitivity_matrix_builds_no_dense_matrix(monkeypatch, corpus):
+    systems = [_identity_system(3), exchange_system(4, 5)]
+    systems += [canonical_system(e.matrix_a, e.matrix_b) for e in corpus[:8]]
+    _no_dense_matrix(monkeypatch)
+    answers = [is_transitive_matrix(sys_) for sys_ in systems]
+    assert answers[:2] == [False, True]
+
+
+def test_transitivity_matrix_at_the_paper_scale(monkeypatch):
+    sys_ = exchange_system(100, 150)
+    assert len(sys_.omega) == 15_000
+    _no_dense_matrix(monkeypatch)
+    assert is_transitive_matrix(sys_)
+    assert check_diagonal_property(sys_).ok
+
+
+def test_transitivity_matrix_of_a_system_without_tiles():
+    ga, gb = graph_from_matrix([[0]], "A"), graph_from_matrix([[0]], "B")
+    sys_ = build_system(ga, gb, Specification(domain=(), mapping={}))
+    assert sys_.tiles == sys_.omega == ()
+    assert sys_.edge_ids == ((),) * 4 and sys_.corner_ids == ()
+    assert is_transitive_matrix(sys_) is False
+
+
+class _NoLookups(dict):
+    """A position dict that refuses every lookup."""
+
+    def __getitem__(self, key):
+        raise AssertionError("an edge position was looked up after the build")
+
+    get = __contains__ = __getitem__
+
+
+def _integer_view_reads(sys_):
+    last = len(sys_.tiles) - 1
+    return (
+        sys_.successors, kgroups_of_system(sys_), block_matrix_k0(sys_),
+        is_transitive_search(sys_), tiling.witness_path(sys_, last, 0, 2 * len(sys_.omega)),
+        is_transitive_matrix(sys_),
+    )
+
+
+def test_consumers_read_the_integer_view_and_look_up_no_edge(random_family):
+    families = [
+        lambda: exchange_system(3, 4),
+        lambda: _identity_system(3),
+        lambda: canonical_system(circulant_matrix(4, (1, 2)), circulant_matrix(4, (0, 3))),
+    ]
+    for sys_ in random_family[1:3]:  # a circulant pair and an exchange pair, random kappa
+        a, b, kappa = sys_.graph_a.to_matrix(), sys_.graph_b.to_matrix(), sys_.kappa
+        families.append(lambda a=a, b=b, kappa=kappa: build_system(*essential_graphs(a, b), kappa))
+    for build in families:
+        expected = _integer_view_reads(build())
+        sys_ = build()
+        for graph in (sys_.graph_a, sys_.graph_b):
+            object.__setattr__(graph, "_position", _NoLookups())
+        assert _integer_view_reads(sys_) == expected
