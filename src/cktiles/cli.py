@@ -38,6 +38,7 @@ EXIT_PARSE = 2
 EXIT_INPUT = 3
 EXIT_COMMUTATION = 4
 EXIT_KAPPA = 5
+MAX_EMITTED = 500  # corner pairs n; A_k, B_k and H_k print 6n^2 entries, about 16 MB at n = 500
 
 
 class ParseError(ValueError):
@@ -229,24 +230,20 @@ def _is_scalar_list(value):
 
 
 def _pretty_lines(value, indent):
+    """A dict's items labelled ``key:`` and a list's labelled ``-``, nesting indented."""
     pad = "  " * indent
-    lines = []
     if isinstance(value, dict):
-        for key, item in value.items():
-            if isinstance(item, (dict, list)) and not _is_scalar_list(item):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_pretty_lines(item, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_pretty_scalar(item)}")
+        labelled = [(f"{key}:", item) for key, item in value.items()]
     elif isinstance(value, list):
-        for item in value:
-            if isinstance(item, (dict, list)) and not _is_scalar_list(item):
-                lines.append(f"{pad}-")
-                lines.extend(_pretty_lines(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {_pretty_scalar(item)}")
+        labelled = [("-", item) for item in value]
     else:
-        lines.append(f"{pad}{_pretty_scalar(value)}")
+        return [pad + _pretty_scalar(value)]
+    lines = []
+    for label, item in labelled:
+        if isinstance(item, (dict, list)) and not _is_scalar_list(item):
+            lines += [pad + label, *_pretty_lines(item, indent + 1)]
+        else:
+            lines.append(f"{pad}{label} {_pretty_scalar(item)}")
     return lines
 
 
@@ -258,6 +255,15 @@ def _pretty_scalar(value):
     if isinstance(value, list):
         return "[" + ", ".join(_pretty_scalar(x) for x in value) + "]"
     return str(value)
+
+
+def _report_system(args):
+    """The parsed system, refused before any work if --emit-matrices is past its limit."""
+    sys_ = _parse_system(_load_payload(args.input))
+    n = len(sys_.omega)
+    if args.emit_matrices and n > MAX_EMITTED:
+        raise InputError(f"--emit-matrices allows at most {MAX_EMITTED} corner pairs, got {n}")
+    return sys_
 
 
 def _with_matrices(report, sys_, args):
@@ -272,13 +278,13 @@ def _with_matrices(report, sys_, args):
 
 
 def cmd_check(args):
-    sys_ = _parse_system(_load_payload(args.input))
+    sys_ = _report_system(args)
     report, ok = _check_payload(sys_)
     return _with_matrices(report, sys_, args), ok
 
 
 def cmd_kgroups(args):
-    sys_ = _parse_system(_load_payload(args.input))
+    sys_ = _report_system(args)
     kgroups = _kgroups_payload(sys_)
     report = {"system": _system_payload(sys_), "kgroups": kgroups}
     return _with_matrices(report, sys_, args), kgroups["block_matrix_cross_check"]

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from .errors import InputError
 from .textile import canonical_system, exchange_system
 
+MAX_CIRCULANT_PAIRS = 1_000  # each entry holds a built system, about 15 KB
+
 
 @dataclass(frozen=True)
 class CorpusEntry:
@@ -61,6 +63,10 @@ def standard_corpus(seed=1302, circulant_pairs=24):
     """
     if type(circulant_pairs) is not int or circulant_pairs < 0:
         raise InputError(f"circulant_pairs must be a nonnegative int, got {circulant_pairs!r}")
+    if circulant_pairs > MAX_CIRCULANT_PAIRS:
+        raise InputError(
+            f"circulant_pairs must be at most {MAX_CIRCULANT_PAIRS}, got {circulant_pairs}"
+        )
     entries = [
         CorpusEntry(f"exchange({n},{m})", ((n,),), ((m,),), exchange_system(n, m))
         for n in range(2, 7)

@@ -25,9 +25,10 @@ that :func:`kgroups_of_system` and :func:`block_matrix_k0` read off the tiles:
 :func:`canonicalize` is the one way a list of cyclic orders, the cokernel's
 or the closed form's, becomes an :class:`AbelianGroup`; it factors nothing.
 
-:func:`smith_normal_form` runs the exact elimination on the whole matrix and
-returns unimodular transforms verified by multiplication; an independent
-oracle built from determinantal divisors (d_k = gcd of all k x k minors;
+:func:`smith_normal_form` runs the exact elimination on the whole matrix,
+over Z with step (b)'s 2 x 2 :func:`_clearing_transform`, and returns
+unimodular transforms verified by multiplication; an independent oracle
+built from determinantal divisors (d_k = gcd of all k x k minors;
 successive quotients are the invariant factors) checks small inputs.
 """
 
@@ -118,72 +119,48 @@ class KGroups:
 
 
 def _diagonalize(a, rows, cols):
-    """Smith diagonalization of row lists ``a`` in place.
+    """Smith diagonalization of row lists ``a`` in place: (diagonal, U rows, V rows).
 
-    Pivots are chosen with smallest nonzero absolute value to slow entry
-    growth.  Returns (diagonal entries, U rows, V rows).
+    Each pivot, the least nonzero |entry| left (to slow entry growth) made
+    positive, clears its column by row transforms, on U too, and its row by
+    column transforms, on V too, from :func:`_clearing_transform`.  A later
+    row it does not divide is added to its row, so it shrinks to a gcd and
+    d1 | d2 | ... holds.
     """
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a + v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        # row[dst] += q * row[src], in a and in U
-        for m in (a, u):
-            m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
-
-    def add_col(dst, src, q):
-        for row in a + v:
-            row[dst] += q * row[src]
-
     size = min(rows, cols)
     for t in range(size):
-        # smallest nonzero |entry| in the trailing submatrix becomes the pivot
         entries = [(abs(x), i, j) for i in range(t, rows) for j, x in enumerate(a[i][t:], t) if x]
         if not entries:
             break
         _, pi, pj = min(entries)
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
+        a[t], a[pi] = a[pi], a[t]
+        u[t], u[pi] = u[pi], u[t]
+        for row in a + v:
+            row[t], row[pj] = row[pj], row[t]
         if a[t][t] < 0:
-            for m in (a, u):
-                m[t] = [-x for x in m[t]]
+            a[t], u[t] = [-x for x in a[t]], [-x for x in u[t]]
         while True:
-            # Euclidean clearing of column t; remainders stay in [0, pivot)
             for i in range(t + 1, rows):
-                while a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        add_row(i, t, -q)
-                    if a[i][t]:
-                        swap_rows(i, t)
-            # clearing row t can re-dirty the column via column swaps
+                if a[i][t]:
+                    x, y, p, q = _clearing_transform(a[t][t], a[i][t])
+                    for m in (a, u):
+                        top, low = m[t], m[i]
+                        m[t] = [x * e + y * f for e, f in zip(top, low)]
+                        m[i] = [q * f - p * e for e, f in zip(top, low)]
             for j in range(t + 1, cols):
-                while a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        add_col(j, t, -q)
-                    if a[t][j]:
-                        swap_cols(j, t)
-            if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1:]):
+                if a[t][j]:
+                    x, y, p, q = _clearing_transform(a[t][t], a[t][j])
+                    for row in a + v:
+                        row[t], row[j] = x * row[t] + y * row[j], q * row[j] - p * row[t]
+            if any(a[i][t] for i in range(t + 1, rows)):
                 continue
-            offender = next(
-                (i for i in range(t + 1, rows) if any(x % a[t][t] for x in a[i][t + 1:])), None
-            )
-            if offender is None:
+            fold = next((i for i in range(t + 1, rows) if any(x % a[t][t] for x in a[i][t:])), None)
+            if fold is None:
                 break
-            # fold the nondivisible row into row t; re-clearing shrinks the
-            # pivot to a gcd, which is what makes the chain d1 | d2 | ... hold
-            add_row(t, offender, 1)
+            for m in (a, u):
+                m[t] = [e + f for e, f in zip(m[t], m[fold])]
     return [a[i][i] for i in range(size)], u, v
 
 
@@ -287,7 +264,7 @@ def _unit_eliminated_core(rows, size):
 def _clearing_transform(p, q):
     """(x, y, u, v) of determinant 1 with x*p + y*q | p and v*q - u*p = 0.
 
-    (1, 0, q/p, 1) when the pivot p divides q, which leaves p in place;
+    (1, 0, q/p, 1) when the pivot p > 0 divides q, which leaves p in place;
     otherwise x*p + y*q = g = gcd(p, q) < p, and (u, v) = (q/g, p/g).
     """
     if q % p == 0:

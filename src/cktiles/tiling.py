@@ -17,7 +17,7 @@ breadth-first level sweep over integer states, testing each state for the
 goal when it is discovered.
 """
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -39,60 +39,48 @@ class PavedPatch:
 
     def with_tile(self, position, tile):
         """Return a new patch with ``tile`` placed; neighbors must agree on edges."""
-        if position in self.cells:
-            raise InputError(f"position {position} already occupied")
-        if self.cells and not self._adjacent_to_domain(position):
-            raise InputError(f"position {position} is not adjacent to the patch")
+        self._require_open(position)
         for neighbor, problem in _neighbor_conflicts(self.cells, position, tile):
             raise InputError(f"tile conflicts with neighbor at {neighbor}: {problem}")
-        cells = dict(self.cells)
-        cells[position] = tile
-        return PavedPatch(cells=cells)
+        return PavedPatch(cells={**self.cells, position: tile})
 
-    def _adjacent_to_domain(self, position):
-        i, j = position
-        return any(
-            p in self.cells for p in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1))
-        )
+    def _require_open(self, position):
+        """Refuse an occupied position, or one no cell of a nonempty patch touches."""
+        if position in self.cells:
+            raise InputError(f"position {position} already occupied")
+        if self.cells and not any(p in self.cells for p in _neighbors(position)):
+            raise InputError(f"position {position} is not adjacent to the patch")
 
     def is_paved(self):
         """True iff every pair of adjacent cells agrees on the shared edge."""
-        for position, tile in self.cells.items():
-            if any(True for _ in _neighbor_conflicts(self.cells, position, tile)):
-                return False
-        return True
+        cells = self.cells
+        return all(next(_neighbor_conflicts(cells, p, t), None) is None for p, t in cells.items())
 
     def is_connected(self):
-        if not self.cells:
+        """True iff the cells' adjacency graph is connected (and so when fewer than two)."""
+        if len(self.cells) < 2:
             return True
-        seen = set()
-        frontier = deque([next(iter(self.cells))])
-        while frontier:
-            i, j = frontier.popleft()
-            if (i, j) in seen:
-                continue
-            seen.add((i, j))
-            for p in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-                if p in self.cells and p not in seen:
-                    frontier.append(p)
-        return len(seen) == len(self.cells)
+        index = {p: k for k, p in enumerate(self.cells)}
+        heads = [[index[q] for q in _neighbors(p) if q in index] for p in index]
+        return unreachable_pair(heads) is None
+
+
+def _neighbors(position):
+    """The four lattice positions that share an edge with ``position``."""
+    i, j = position
+    return (i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)
 
 
 def _neighbor_conflicts(cells, position, tile):
     """Yield (neighbor position, description) for every edge disagreement."""
     i, j = position
-    north = cells.get((i, j + 1))
-    if north is not None and tile.top != north.bottom:
-        yield (i, j + 1), f"top {tile.top!r} != bottom {north.bottom!r}"
-    south = cells.get((i, j - 1))
-    if south is not None and tile.bottom != south.top:
-        yield (i, j - 1), f"bottom {tile.bottom!r} != top {south.top!r}"
-    west = cells.get((i - 1, j))
-    if west is not None and tile.left != west.right:
-        yield (i - 1, j), f"left {tile.left!r} != right {west.right!r}"
-    east = cells.get((i + 1, j))
-    if east is not None and tile.right != east.left:
-        yield (i + 1, j), f"right {tile.right!r} != left {east.left!r}"
+    for neighbor, mine, theirs in (
+        ((i, j + 1), "top", "bottom"), ((i, j - 1), "bottom", "top"),
+        ((i - 1, j), "left", "right"), ((i + 1, j), "right", "left"),
+    ):
+        other = cells.get(neighbor)
+        if other is not None and getattr(tile, mine) != getattr(other, theirs):
+            yield neighbor, f"{mine} {getattr(tile, mine)!r} != {theirs} {getattr(other, theirs)!r}"
 
 
 @dataclass(frozen=True)
@@ -387,13 +375,5 @@ def extend_patch(sys, patch, position):
     For an empty patch there are no constraints and every tile qualifies.
     Otherwise the position must be vacant and adjacent to the patch domain.
     """
-    if patch.cells:
-        if position in patch.cells:
-            raise InputError(f"position {position} already occupied")
-        if not patch._adjacent_to_domain(position):
-            raise InputError(f"position {position} is not adjacent to the patch")
-    return [
-        t
-        for t in sys.tiles
-        if not any(True for _ in _neighbor_conflicts(patch.cells, position, t))
-    ]
+    patch._require_open(position)
+    return [t for t in sys.tiles if next(_neighbor_conflicts(patch.cells, position, t), None) is None]

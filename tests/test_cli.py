@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cktiles import cli, graph, ktheory, textile, tiling
+from cktiles import cli, corpus, graph, ktheory, textile, tiling
 from cktiles.cli import main
 from cktiles.errors import InputError
 from cktiles.ktheory import AbelianGroup
@@ -422,6 +422,41 @@ def test_emit_matrices_flag(tmp_path, capsys):
     assert "matrices" not in json.loads(out)
 
 
+def test_emit_matrices_is_refused_past_its_limit_before_any_k_group_work(
+    tmp_path, capsys, monkeypatch
+):
+    # exchange(100, 150) has 15,000 corner pairs: its dense A_k, B_k and H_k
+    # would print about 15 GB
+    path = _write(tmp_path, {"A": [[100]], "B": [[150]], "kappa": "exchange"})
+
+    def refuse(*args):
+        raise AssertionError("a refused --emit-matrices report reached K-group or matrix work")
+
+    monkeypatch.setattr(IntMatrix, "__init__", refuse)
+    for name in ("kgroups_of_system", "block_matrix_k0", "_unreachable_corner_pair"):
+        monkeypatch.setattr(cli, name, refuse)
+    message = (
+        f"input error: --emit-matrices allows at most {cli.MAX_EMITTED} corner pairs, got 15000\n"
+    )
+    for command in ("check", "kgroups"):
+        assert _run(capsys, [command, path, "--emit-matrices"]) == (3, "", message)
+
+
+def test_emit_matrices_limit_admits_up_to_it_and_binds_only_the_flag(tmp_path, capsys, monkeypatch):
+    # the largest golden --emit-matrices pin is exchange(11, 12), 132 corner pairs
+    assert 132 <= cli.MAX_EMITTED <= 2000
+    monkeypatch.setattr(cli, "MAX_EMITTED", 6)
+    at_limit = _write(tmp_path, EXCHANGE_2_3)  # 6 corner pairs
+    past_limit = _write(tmp_path, {"A": [[2]], "B": [[4]], "kappa": "exchange"}, name="2-4.json")
+    for command in ("check", "kgroups"):
+        code, out, _ = _run(capsys, [command, at_limit, "--emit-matrices"])
+        assert code == 0 and len(json.loads(out)["matrices"]["a_kappa"]) == 6
+        assert _run(capsys, [command, past_limit, "--emit-matrices"]) == (
+            3, "", "input error: --emit-matrices allows at most 6 corner pairs, got 8\n"
+        )
+        assert _run(capsys, [command, past_limit])[0] == 0
+
+
 def test_emit_matrices_is_refused_by_tiles(tmp_path, capsys):
     with pytest.raises(SystemExit) as exited:
         main(["tiles", _write(tmp_path, EXCHANGE_2_3), "--emit-matrices"])
@@ -527,6 +562,17 @@ def test_corpus_refuses_a_negative_count(capsys):
     assert code == 3
     assert out == ""
     assert err == "input error: circulant_pairs must be a nonnegative int, got -5\n"
+
+
+def test_corpus_refuses_a_count_past_its_limit_before_any_system(capsys, monkeypatch):
+    _refuse_to_build(monkeypatch)
+    monkeypatch.setattr(corpus, "circulant_matrix", None)  # no pair is drawn either
+    code, out, err = _run(capsys, ["corpus", "--count", "1000000000"])
+    assert (code, out) == (3, "")
+    assert err == (
+        f"input error: circulant_pairs must be at most {corpus.MAX_CIRCULANT_PAIRS}, "
+        "got 1000000000\n"
+    )
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):

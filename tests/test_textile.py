@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cktiles import cli, closedform
+from cktiles import cli, closedform, corpus
 from cktiles.closedform import verify_closed_form
 from cktiles.corpus import circulant_matrix, standard_corpus
 from cktiles.errors import CommutationError, InputError, SpecificationError
@@ -436,3 +436,14 @@ def test_tiles_satisfy_endpoint_constraints(corpus):
 def test_standard_corpus_refuses_a_negative_or_bool_count(count):
     with pytest.raises(InputError, match="nonnegative int"):
         standard_corpus(circulant_pairs=count)
+
+
+def test_standard_corpus_admits_counts_up_to_its_limit(monkeypatch):
+    # the systems are stubbed out: only the count of entries is at stake here
+    monkeypatch.setattr(corpus, "canonical_system", lambda a, b: None)
+    monkeypatch.setattr(corpus, "exchange_system", lambda n, m: None)
+    limit = corpus.MAX_CIRCULANT_PAIRS
+    assert limit >= 40  # the largest count any test or golden pin uses
+    assert len(standard_corpus(circulant_pairs=limit)) == 15 + 10 + limit
+    with pytest.raises(InputError, match=f"at most {limit}, got {limit + 1}"):
+        standard_corpus(circulant_pairs=limit + 1)

@@ -380,6 +380,25 @@ def test_extend_patch_position_errors():
         extend_patch(sys_, patch, (0, 0))
 
 
+@pytest.mark.parametrize(
+    "positions, connected",
+    [
+        ([], True),
+        ([(0, 0)], True),
+        ([(0, 0), (1, 0)], True),
+        ([(0, 0), (0, -1)], True),
+        ([(0, 0), (2, 0)], False),
+        ([(0, 0), (1, 1)], False),  # diagonal cells share no edge
+        ([(0, 1), (0, 0), (1, 0)], True),  # an L-shape
+        ([(0, 1), (0, 0), (1, 0), (3, 0)], False),
+    ],
+)
+def test_is_connected_on_small_patches(positions, connected):
+    # connectivity reads positions only, so one tile fills every cell
+    tile = exchange_system(2, 2).tiles[0]
+    assert PavedPatch(cells=dict.fromkeys(positions, tile)).is_connected() is connected
+
+
 def test_paved_patch_rejects_conflicts_and_disconnection():
     sys_ = exchange_system(2, 2)
     t = sys_.tiles[0]
