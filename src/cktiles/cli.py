@@ -38,6 +38,7 @@ EXIT_PARSE = 2
 EXIT_INPUT = 3
 EXIT_COMMUTATION = 4
 EXIT_KAPPA = 5
+MAX_DOCUMENT = 64 * 2**20  # characters; a compact explicit kappa at MAX_TILES is 14 to 28 MB
 MAX_EMITTED = 500  # corner pairs n; A_k, B_k and H_k print 6n^2 entries, about 16 MB at n = 500
 
 
@@ -46,15 +47,19 @@ class ParseError(ValueError):
 
 
 def _load_payload(path):
+    """The JSON object read from ``path`` or standard input, refused past MAX_DOCUMENT
+    characters after reading at most one more."""
     from_stdin = path is None or path == "-"
     try:
         if from_stdin:
-            text = sys.stdin.read()
+            text = sys.stdin.read(MAX_DOCUMENT + 1)
         else:
             with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
+                text = handle.read(MAX_DOCUMENT + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {'standard input' if from_stdin else path}: {exc}") from exc
+    if len(text) > MAX_DOCUMENT:
+        raise InputError(f"document too large: over the limit of {MAX_DOCUMENT} characters")
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or an over-long int

@@ -20,6 +20,8 @@ from .ktheory import AbelianGroup, KGroups, canonicalize, cokernel, kgroups_of_s
 from .matrices import IntMatrix
 from .textile import exchange_system
 
+MAX_SUMMANDS = 2_000_002  # M + N - 2; (10**6, 10**6 + 1) is admitted and takes about 1 s
+
 
 @dataclass(frozen=True)
 class EuclidTrace:
@@ -166,9 +168,14 @@ def closed_form_kgroups(N, M):
     """The closed-form K0 summands for the exchange system on [N], [M].
 
     M-2 copies of order N-1, N-2 copies of order M-1, then the torsion tail
-    (d, c*g); K1 is trivial.
+    (d, c*g); K1 is trivial.  More than MAX_SUMMANDS summands (M + N - 2)
+    are refused before any is listed.
     """
     _require_pair(N, M)
+    if M + N - 2 > MAX_SUMMANDS:
+        raise InputError(
+            f"closed form too large: {M + N - 2} summands, over the limit of {MAX_SUMMANDS}"
+        )
     tail, trace, g = torsion_tail_orders(N, M)
     summands = [N - 1] * (M - 2) + [M - 1] * (N - 2) + list(tail)
     return ClosedFormResult(

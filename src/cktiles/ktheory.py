@@ -18,9 +18,10 @@ that :func:`kgroups_of_system` and :func:`block_matrix_k0` read off the tiles:
     holds one and cleared from the rows a column index lists; each gives
     the factor 1, and what is left is a
     square core, 19 x 19 for the 21 x 21 matrix of exchange(9, 12);
-(b) one fraction-free elimination gives the core's rank r and a nonzero
-    r x r minor D, and the core is diagonalised over Z/DZ, so no entry
-    ever exceeds D, whether the core is singular (K1 nonzero) or not.
+(b) :func:`rank_minor`, one fraction-free elimination on the core's rows,
+    gives its rank r and a nonzero r x r minor D, and the core is
+    diagonalised over Z/DZ, so no entry ever exceeds D, whether the core is
+    singular (K1 nonzero) or not.  No :class:`IntMatrix` is built.
 
 :func:`canonicalize` is the one way a list of cyclic orders, the cokernel's
 or the closed form's, becomes an :class:`AbelianGroup`; it factors nothing.
@@ -38,7 +39,7 @@ from itertools import combinations
 from math import gcd, prod
 
 from .errors import InputError, InternalCheckError, OracleScaleError
-from .matrices import IntMatrix
+from .matrices import IntMatrix, rank_minor
 
 
 @dataclass(frozen=True)
@@ -204,8 +205,8 @@ def invariant_factors_oracle(m):
         g = 0
         for rsel in combinations(row_range, k):
             for csel in combinations(col_range, k):
-                sub = IntMatrix([[rows[i][j] for j in csel] for i in rsel])
-                g = gcd(g, sub.det())
+                rank, minor = rank_minor([[rows[i][j] for j in csel] for i in rsel])
+                g = gcd(g, minor if rank == k else 0)
                 if g == 1:
                     break
             if g == 1:
@@ -321,13 +322,13 @@ def cokernel(m):
     sparsely, each giving the invariant factor 1; what is left is a square
     k x k core of rank r.  (b) Every nonzero invariant factor of the core
     divides its r-th determinantal divisor, and so the nonzero r x r minor
-    D that :meth:`IntMatrix.rank_minor` finds.  The core is diagonalised
-    over Z/DZ and each diagonal entry s gives Z/gcd(s, D)Z: the nonzero
-    factors come back whole and each of the k - r zero factors comes back
-    as D.  :func:`canonicalize` turns these orders into the chain
-    d1 | d2 | ..., whose top k - r entries are those copies of D; they are
-    dropped for k - r copies of Z (when D = 1 the chain is empty and there
-    is nothing to drop).
+    D that :func:`rank_minor` finds on the core's rows.
+    The core is diagonalised over Z/DZ and each diagonal entry s gives
+    Z/gcd(s, D)Z: the nonzero factors come back whole and each of the
+    k - r zero factors comes back as D.  :func:`canonicalize` turns these
+    orders into the chain d1 | d2 | ..., whose top k - r entries are those
+    copies of D; they are dropped for k - r copies of Z (when D = 1 the
+    chain is empty and there is nothing to drop).
     """
     if not m.is_square():
         raise InputError("cokernel requires a square matrix")
@@ -337,7 +338,7 @@ def cokernel(m):
 def _cokernel_of_rows(rows, size):
     """:func:`cokernel` of ``size`` sparse rows, as step (a) takes them."""
     core = _unit_eliminated_core(rows, size)
-    rank, minor = IntMatrix(core).rank_minor()
+    rank, minor = rank_minor(core)
     d = abs(minor)
     chain = canonicalize([gcd(s, d) for s in _diagonal_mod(core, d)]).torsion
     free_rank = len(core) - rank

@@ -93,7 +93,7 @@ class IntMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        """The one matrix product; it multiplies only pairs of nonzero entries."""
+        """The dense product of nonzero pairs; graphs count paths by ``textile._path_counts``."""
         if not isinstance(other, IntMatrix):
             raise InputError("expected an IntMatrix operand")
         if self.cols != other.rows:
@@ -122,39 +122,40 @@ class IntMatrix:
                 data.append([a * b for a in arow for b in brow])
         return IntMatrix(data)
 
-    def rank_minor(self):
-        """(r, minor): the rank r and a nonzero r x r minor, 1 when r = 0.
-
-        One fraction-free (Bareiss) elimination with full pivoting; the sign
-        of the swaps is kept, so a square matrix of full rank gets its det.
-        """
-        m = self.to_lists()
-        sign = prev = 1
-        rows, cols = self.rows, self.cols
-        for k in range(min(rows, cols)):
-            found = next(((i, j) for j in range(k, cols) for i in range(k, rows) if m[i][j]), None)
-            if found is None:
-                return k, sign * prev
-            i, j = found
-            if i != k:
-                m[k], m[i] = m[i], m[k]
-                sign = -sign
-            if j != k:
-                for row in m:
-                    row[k], row[j] = row[j], row[k]
-                sign = -sign
-            top = m[k]
-            pivot = top[k]
-            for row in m[k + 1:]:
-                f = row[k]
-                for j in range(k + 1, cols):
-                    row[j] = (row[j] * pivot - f * top[j]) // prev
-            prev = pivot
-        return min(rows, cols), sign * prev
-
     def det(self):
-        """Exact determinant: the full-rank minor of :meth:`rank_minor`, else 0."""
+        """Exact determinant: the full-rank minor of :func:`rank_minor`, else 0."""
         if not self.is_square():
             raise InputError("determinant requires a square matrix")
-        rank, minor = self.rank_minor()
+        rank, minor = rank_minor(self.data)
         return minor if rank == self.rows else 0
+
+
+def rank_minor(rows):
+    """(r, minor) of int row lists: the rank r and a nonzero r x r minor, 1 when r = 0.
+
+    One fraction-free (Bareiss) elimination with full pivoting, on a copy;
+    the sign of the swaps is kept, so a square matrix of full rank gets its det.
+    """
+    m = [row[:] for row in rows]
+    sign = prev = 1
+    nrows, cols = len(m), len(m[0]) if m else 0
+    for k in range(min(nrows, cols)):
+        found = next(((i, j) for j in range(k, cols) for i in range(k, nrows) if m[i][j]), None)
+        if found is None:
+            return k, sign * prev
+        i, j = found
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        if j != k:
+            for row in m:
+                row[k], row[j] = row[j], row[k]
+            sign = -sign
+        top = m[k]
+        pivot = top[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, cols):
+                row[j] = (row[j] * pivot - f * top[j]) // prev
+        prev = pivot
+    return min(nrows, cols), sign * prev

@@ -253,23 +253,18 @@ def _composable(pair, first, second):
     )
 
 
-def _composable_count(first, second):
-    """The number of composable (e, f) with e in graph ``first``, f in ``second``."""
-    return sum(len(second._out.get(e.range, ())) for e in first.edges)
-
-
 def validate_specification(kappa, ga, gb):
     """Check bijectivity and the four endpoint constraints of a specification.
 
     Returns a ValidationReport naming the first violated constraint and the
     offending domain pair, rather than raising.  Each domain pair and each
-    image is checked where it stands; |Sigma_AB| and |Sigma_BA| are counted
-    from vertex degrees, so neither is enumerated.
+    image is checked where it stands; |Sigma_AB| and |Sigma_BA| are the entry
+    sums of AB and BA from :func:`_path_counts`, so neither is enumerated.
     """
     _require_same_vertices(ga, gb)
     edges_a, edges_b = ga._position, gb._position  # dicts keyed by the edges
     domain = set(kappa.domain)
-    expected = _composable_count(ga, gb)
+    expected = sum(_path_counts(ga, gb))
     if len(domain) != len(kappa.domain) or len(domain) != expected or not all(
         _composable(pair, edges_a, edges_b) for pair in domain
     ):
@@ -312,7 +307,7 @@ def validate_specification(kappa, ga, gb):
                 ok=False, failure="endpoint-r(b)=r(beta)",
                 detail=f"r(b)={b.range} but r(beta)={beta.range}", pair=pair,
             )
-    images = _composable_count(gb, ga)
+    images = sum(_path_counts(gb, ga))
     if len(seen_images) != images:
         return ValidationReport(
             ok=False, failure="not-surjective",

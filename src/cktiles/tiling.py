@@ -29,9 +29,18 @@ DOWN = "down"
 
 @dataclass(frozen=True)
 class PavedPatch:
-    """A finite connected assignment of lattice positions to tiles."""
+    """A finite assignment of lattice positions to tiles, hashed by its cells.
+
+    The constructor admits any cells, connected and agreeing or not;
+    :meth:`with_tile` and :func:`extend_patch` take only a vacant position
+    next to some cell of a nonempty patch.  :meth:`is_paved` and
+    :meth:`is_connected` report on whatever cells a patch holds.
+    """
 
     cells: dict
+
+    def __hash__(self):
+        return hash(frozenset(self.cells.items()))
 
     @classmethod
     def empty(cls):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import sys
 from unittest import mock
 
@@ -324,7 +325,8 @@ def test_check_corpus_and_witness_rescan_no_fact_the_construction_proves(
 @pytest.mark.parametrize("command", ["check", "kgroups"])
 def test_k0_builds_no_dense_matrix_larger_than_a_core(tmp_path, capsys, monkeypatch, command):
     # both K0 presentations reach the cokernel as sparse rows read off the
-    # tiles, so the only dense matrices are the inputs and the cores
+    # tiles, and each core stays a list of rows through step (b), so no
+    # IntMatrix is built at all
     built, cores = [], []
     init, eliminate = IntMatrix.__init__, ktheory._unit_eliminated_core
 
@@ -341,7 +343,29 @@ def test_k0_builds_no_dense_matrix_larger_than_a_core(tmp_path, capsys, monkeypa
     path = _write(tmp_path, {"A": [[8]], "B": [[8]], "kappa": "exchange"})
     assert _run(capsys, [command, path])[0] == 0
     assert len(cores) == 2
-    assert max(built) <= max(len(core) for core in cores)
+    assert built == []
+
+
+def test_no_command_but_emit_matrices_builds_an_int_matrix(tmp_path, capsys, monkeypatch):
+    paths = [_write(tmp_path, payload, name=f"{i}.json") for i, payload in enumerate(_DOCUMENTS)]
+    runs = [["closedform", "3", "7"], ["sweep", "4", "5"], ["corpus", "--count", "2"]]
+    for path in paths:
+        runs += [[command, path] for command in ("check", "kgroups", "tiles")]
+        runs += [["witness", "0", "1", path], ["witness", "1", "0", path, "--max-steps", "1"]]
+    unpatched = [_run(capsys, argv) for argv in runs]
+    emitted = [_run(capsys, [command, paths[0], "--emit-matrices"])
+               for command in ("check", "kgroups")]
+
+    def refuse(self, data):
+        raise AssertionError("an IntMatrix was built")
+
+    monkeypatch.setattr(IntMatrix, "__init__", refuse)
+    assert [_run(capsys, argv) for argv in runs] == unpatched
+    assert {code for code, _, _ in unpatched} == {0}
+    for command, (code, out, _) in zip(("check", "kgroups"), emitted):
+        assert code == 0 and len(json.loads(out)["matrices"]["h_kappa"]) == 12
+        with pytest.raises(AssertionError, match="an IntMatrix was built"):
+            main([command, paths[0], "--emit-matrices"])
 
 
 @pytest.mark.parametrize("command", ["check", "kgroups"])
@@ -596,6 +620,50 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     assert err.startswith("parse error: cannot read standard input: ")
 
 
+class _CappedStream(io.StringIO):
+    """A document that refuses any read past ``limit`` + 1 characters, or of everything."""
+
+    def __init__(self, text, limit):
+        super().__init__(text)
+        self.limit, self.requested = limit, []
+
+    def read(self, size=-1):
+        self.requested.append(size)
+        if size is None or size < 0 or size > self.limit + 1:
+            raise AssertionError(f"read({size}) past the document limit {self.limit}")
+        return super().read(size)
+
+
+def test_document_is_refused_past_its_limit_after_reading_one_more(tmp_path, capsys, monkeypatch):
+    # the largest document tier-1 feeds is 200,000 characters, perfbench's 527
+    assert cli.MAX_DOCUMENT >= 30 * 10**6  # an explicit kappa at MAX_TILES is under 28 MB
+    document = json.dumps(EXCHANGE_2_3)
+    limit = len(document)
+    monkeypatch.setattr(cli, "MAX_DOCUMENT", limit)
+    message = f"input error: document too large: over the limit of {limit} characters\n"
+    for command in (["check"], ["kgroups"], ["tiles"], ["witness", "0", "1"]):
+        stream = _CappedStream(document, limit)
+        monkeypatch.setattr("sys.stdin", stream)
+        assert _run(capsys, command)[0] == 0  # at the limit
+        stream = _CappedStream(document + " " * 10**6, limit)
+        monkeypatch.setattr("sys.stdin", stream)
+        assert _run(capsys, command) == (3, "", message)
+        assert stream.requested == [limit + 1] and stream.tell() == limit + 1
+    path = _write(tmp_path, (document + " " * 10**6).encode())
+    opened = []
+
+    def capped_open(name, mode, encoding):
+        assert (name, mode, encoding) == (path, "r", "utf-8")
+        opened.append(_CappedStream(open(name, mode, encoding=encoding).read(), limit))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", capped_open, raising=False)
+    assert _run(capsys, ["check", path]) == (3, "", message)
+    assert opened[0].requested == [limit + 1]
+    monkeypatch.delattr(cli, "open")
+    assert _run(capsys, ["kgroups", path]) == (3, "", message)
+
+
 # --- fuzzing main over JSON documents -------------------------------------------
 
 # Square matrices over 0..3 make the valid, noncommuting and badly glued
@@ -625,6 +693,73 @@ def _documents(draw):
     return document
 
 
+def _refuse(*args):
+    raise AssertionError("an over-limit system reached construction")
+
+
+def _construction_sites():
+    """(module, name) for every place a cktiles module binds a construction step."""
+    sites = []
+    for home, name in ((graph, "graph_from_matrix"), (textile, "_assemble"),
+                       (textile, "require_commuting"), (textile, "validate_specification")):
+        original = getattr(home, name)
+        for key, module in list(sys.modules.items()):
+            if key.startswith("cktiles.") and vars(module).get(name) is original:
+                sites.append((module, name))
+    return sites
+
+
+# Whole documents as bytes on standard input: well-formed systems, wrong
+# types, malformed JSON and text, and over-limit sizes.  Over-limit ones run with
+# every construction step raising, so a size check that comes too late
+# fails the test instead of allocating the system.
+_FIELD = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.just(10**30) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["A", "B", "kappa", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+_ODD_TEXTS = [
+    b"", b"NaN", b"[" * 10**5, b"1" * 5000, b"\xef\xbb\xbf{}", b"\xff{}",
+    b'{"A": [[1e999]], "B": [[1]]}', b'{"A": [[1]], "B": [[1]], "A": [[2]]}',
+    b'{"A": [[1]], "B": [[1]], "kappa": "exchange"} x',
+]
+
+
+@st.composite
+def _whole_documents(draw):
+    """(document bytes, a lowered MAX_DOCUMENT or None, whether a limit refuses it)."""
+    kind = draw(st.sampled_from(["valid", "kappa", "typed", "malformed", "odd", "over", "long"]))
+    text = json.dumps(draw(st.sampled_from(_DOCUMENTS + [NONCOMMUTING]) | _documents()))
+    if kind == "kappa":  # entries of a valid explicit kappa, some dropped, repeated or bent
+        entries = st.sampled_from(_DOCUMENTS[-1]["kappa"]) | st.tuples(
+            st.tuples(_EDGE_ID, _EDGE_ID), st.tuples(_EDGE_ID, _EDGE_ID)
+        )
+        text = json.dumps({"A": [[2]], "B": [[2]], "kappa": draw(st.lists(entries, max_size=5))})
+    elif kind == "typed":
+        fields = st.fixed_dictionaries({"A": _FIELD, "B": _FIELD}, optional={"kappa": _FIELD})
+        text = json.dumps(draw(fields | _FIELD))
+    elif kind == "malformed":
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + draw(st.sampled_from(["", "{", "}", "]", ",", ":", '"', "\\", "x"]))
+    elif kind == "odd":
+        return draw(st.sampled_from(_ODD_TEXTS) | st.binary(max_size=12)), None, False
+    elif kind == "over":  # over MAX_TILES, and maybe MAX_EDGES too
+        size = draw(st.integers(1, 3))
+        least = math.isqrt(textile.MAX_TILES // size**3) + 1  # size**3 least**2 tiles
+        a, b = (
+            [[draw(st.integers(least, 10**40))] * size for _ in range(size)] for _ in "AB"
+        )
+        document = {"A": a, "B": b}
+        if draw(st.booleans()):
+            document["kappa"] = draw(_KAPPA)
+        return json.dumps(document).encode(), None, True
+    elif kind == "long":  # one character over a lowered limit
+        return text.encode(), len(text) - 1, True
+    return text.encode(), None, False
+
+
 def _assert_documented_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -634,13 +769,26 @@ def _assert_documented_exit(argv):
     if code >= 2:
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    return code
 
 
-@settings(max_examples=150, deadline=None)
-@given(_documents(), st.sampled_from([["check"], ["kgroups"], ["tiles"], ["witness", "0", "1"]]))
-def test_main_exits_with_a_documented_code_on_any_document(document, argv):
-    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(document))):
-        _assert_documented_exit(argv)
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    _whole_documents(), st.sampled_from([["check"], ["kgroups"], ["tiles"], ["witness", "0", "1"]])
+)
+def test_main_exits_with_a_documented_code_on_any_document(case, argv):
+    data, limit, over = case
+    with contextlib.ExitStack() as stack:
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        stack.enter_context(mock.patch.object(sys, "stdin", stdin))
+        if limit is not None:
+            stack.enter_context(mock.patch.object(cli, "MAX_DOCUMENT", limit))
+        if over:
+            for module, name in _construction_sites():
+                stack.enter_context(mock.patch.object(module, name, _refuse))
+        code = _assert_documented_exit(argv)
+    if over:
+        assert code == 3
 
 
 # sizes stay small: closedform is cheap at any size, but sweep and corpus
@@ -669,16 +817,8 @@ def test_main_exits_with_a_documented_code_on_any_size(argv):
 def _refuse_to_build(monkeypatch):
     """Make every construction step raise, at every binding site, so that a
     missing size check fails here instead of allocating the system."""
-
-    def refuse(*args):
-        raise AssertionError("an over-limit system reached construction")
-
-    for home, name in ((graph, "graph_from_matrix"), (textile, "_assemble"),
-                       (textile, "require_commuting"), (textile, "validate_specification")):
-        original = getattr(home, name)
-        for key, module in list(sys.modules.items()):
-            if key.startswith("cktiles.") and vars(module).get(name) is original:
-                monkeypatch.setattr(module, name, refuse)
+    for module, name in _construction_sites():
+        monkeypatch.setattr(module, name, _refuse)
 
 
 @pytest.mark.parametrize(

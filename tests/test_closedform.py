@@ -1,7 +1,9 @@
+import time
 from math import gcd
 
 import pytest
 
+from cktiles import closedform
 from cktiles.closedform import (
     closed_form_kgroups,
     closed_form_order,
@@ -199,3 +201,29 @@ def test_verify_closed_form_2_20():
     comparison = verify_closed_form(2, 20)
     assert comparison.agree
     assert comparison.computed.k0.torsion == (399,)
+
+
+@pytest.mark.parametrize("n", [10**30, 10**100])
+def test_closed_form_refuses_huge_pairs_before_listing_summands(n):
+    message = f"closed form too large: {2 * n - 1} summands, over the limit of "
+    for function in (closed_form_kgroups, closed_form_order):
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=message):
+            function(n, n + 1)
+        assert time.perf_counter() - start < 0.1
+    (d, top), trace, g = torsion_tail_orders(n, n + 1)  # the tail still answers
+    assert d == trace.gcd == 1 and g == n * (2 * n) and top % g == 0
+
+
+def test_summand_limit_admits_up_to_it(monkeypatch):
+    # (10**6, 10**6 + 1) stays in, and so does every pair the CLI's tile
+    # limit admits: N M <= 250,000 with N >= 2 has M + N - 2 <= 125,000
+    assert closedform.MAX_SUMMANDS >= (10**6 + 1) + 10**6 - 2
+    assert closedform.MAX_SUMMANDS >= 125_000
+    monkeypatch.setattr(closedform, "MAX_SUMMANDS", 5)
+    assert len(closed_form_kgroups(2, 5).summands) == 5
+    assert closed_form_order(3, 4) == closed_form_kgroups(3, 4).canonical.order()
+    with pytest.raises(InputError, match="6 summands, over the limit of 5"):
+        closed_form_kgroups(3, 5)
+    with pytest.raises(InputError, match="require N > 1"):  # the pair is checked first
+        closed_form_kgroups(1, 10**30)

@@ -399,6 +399,22 @@ def test_is_connected_on_small_patches(positions, connected):
     assert PavedPatch(cells=dict.fromkeys(positions, tile)).is_connected() is connected
 
 
+def test_equal_patches_hash_equal_whatever_their_build_order():
+    t, u = exchange_system(2, 2).tiles[:2]
+    empty = PavedPatch.empty()
+    one_way = empty.with_tile((0, 0), t).with_tile((1, 0), t).with_tile((1, -1), u)
+    other_way = empty.with_tile((1, -1), u).with_tile((1, 0), t).with_tile((0, 0), t)
+    assert list(one_way.cells) != list(other_way.cells)
+    assert one_way == other_way and hash(one_way) == hash(other_way)
+    patches = {one_way, other_way, empty, PavedPatch.empty(), empty.with_tile((0, 0), t)}
+    assert len(patches) == 3 and other_way in patches
+    assert empty.with_tile((0, 0), u) not in patches
+    # the constructor admits disconnected cells, and a patch of them hashes too
+    apart = PavedPatch(cells={(0, 0): t, (5, 5): t})
+    assert not apart.is_connected()
+    assert hash(apart) == hash(PavedPatch(cells={(5, 5): t, (0, 0): t}))
+
+
 def test_paved_patch_rejects_conflicts_and_disconnection():
     sys_ = exchange_system(2, 2)
     t = sys_.tiles[0]
