@@ -17,6 +17,7 @@ from cktiles.matrices import IntMatrix
 from cktiles.textile import canonical_system
 
 EXCHANGE_2_3 = {"A": [[2]], "B": [[3]], "kappa": "exchange"}
+EXCHANGE_8_8 = {"A": [[8]], "B": [[8]], "kappa": "exchange"}
 IDENTITY_2 = {"A": [[1, 0], [0, 1]], "B": [[1, 0], [0, 1]], "kappa": "canonical"}
 NONCOMMUTING = {"A": [[0, 1], [1, 0]], "B": [[1, 1], [0, 1]], "kappa": "canonical"}
 SWAP = [[0, 1], [1, 0]]
@@ -325,29 +326,26 @@ def test_check_corpus_and_witness_rescan_no_fact_the_construction_proves(
 @pytest.mark.parametrize("command", ["check", "kgroups"])
 def test_k0_builds_no_dense_matrix_larger_than_a_core(tmp_path, capsys, monkeypatch, command):
     # both K0 presentations reach the cokernel as sparse rows read off the
-    # tiles, and each core stays a list of rows through step (b), so no
-    # IntMatrix is built at all
-    built, cores = [], []
-    init, eliminate = IntMatrix.__init__, ktheory._unit_eliminated_core
-
-    def recorded_init(self, data):
-        init(self, data)
-        built.append(self.rows)
+    # tiles, and each core stays a list of rows through step (b); that no
+    # IntMatrix is built on the way is checked on this document below
+    cores = []
+    eliminate = ktheory._unit_eliminated_core
 
     def recorded_core(rows, size):
         cores.append(eliminate(rows, size))
         return cores[-1]
 
-    monkeypatch.setattr(IntMatrix, "__init__", recorded_init)
     monkeypatch.setattr(ktheory, "_unit_eliminated_core", recorded_core)
-    path = _write(tmp_path, {"A": [[8]], "B": [[8]], "kappa": "exchange"})
+    path = _write(tmp_path, EXCHANGE_8_8)
     assert _run(capsys, [command, path])[0] == 0
     assert len(cores) == 2
-    assert built == []
 
 
 def test_no_command_but_emit_matrices_builds_an_int_matrix(tmp_path, capsys, monkeypatch):
-    paths = [_write(tmp_path, payload, name=f"{i}.json") for i, payload in enumerate(_DOCUMENTS)]
+    paths = [
+        _write(tmp_path, payload, name=f"{i}.json")
+        for i, payload in enumerate(_DOCUMENTS + [EXCHANGE_8_8])
+    ]
     runs = [["closedform", "3", "7"], ["sweep", "4", "5"], ["corpus", "--count", "2"]]
     for path in paths:
         runs += [[command, path] for command in ("check", "kgroups", "tiles")]
@@ -729,8 +727,8 @@ _ODD_TEXTS = [
 
 @st.composite
 def _whole_documents(draw):
-    """(document bytes, a lowered MAX_DOCUMENT or None, whether a limit refuses it)."""
-    kind = draw(st.sampled_from(["valid", "kappa", "typed", "malformed", "odd", "over", "long"]))
+    """(document bytes, whether a size limit refuses it)."""
+    kind = draw(st.sampled_from(["valid", "kappa", "typed", "malformed", "odd", "over"]))
     text = json.dumps(draw(st.sampled_from(_DOCUMENTS + [NONCOMMUTING]) | _documents()))
     if kind == "kappa":  # entries of a valid explicit kappa, some dropped, repeated or bent
         entries = st.sampled_from(_DOCUMENTS[-1]["kappa"]) | st.tuples(
@@ -744,7 +742,7 @@ def _whole_documents(draw):
         cut = draw(st.integers(0, len(text)))
         text = text[:cut] + draw(st.sampled_from(["", "{", "}", "]", ",", ":", '"', "\\", "x"]))
     elif kind == "odd":
-        return draw(st.sampled_from(_ODD_TEXTS) | st.binary(max_size=12)), None, False
+        return draw(st.sampled_from(_ODD_TEXTS) | st.binary(max_size=12)), False
     elif kind == "over":  # over MAX_TILES, and maybe MAX_EDGES too
         size = draw(st.integers(1, 3))
         least = math.isqrt(textile.MAX_TILES // size**3) + 1  # size**3 least**2 tiles
@@ -754,10 +752,8 @@ def _whole_documents(draw):
         document = {"A": a, "B": b}
         if draw(st.booleans()):
             document["kappa"] = draw(_KAPPA)
-        return json.dumps(document).encode(), None, True
-    elif kind == "long":  # one character over a lowered limit
-        return text.encode(), len(text) - 1, True
-    return text.encode(), None, False
+        return json.dumps(document).encode(), True
+    return text.encode(), False
 
 
 def _assert_documented_exit(argv):
@@ -772,17 +768,22 @@ def _assert_documented_exit(argv):
     return code
 
 
+@settings(max_examples=150, deadline=None)
+@given(_documents(), st.sampled_from([["check"], ["kgroups"], ["tiles"], ["witness", "0", "1"]]))
+def test_main_exits_with_a_documented_code_on_any_document(document, argv):
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(document))):
+        _assert_documented_exit(argv)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(
     _whole_documents(), st.sampled_from([["check"], ["kgroups"], ["tiles"], ["witness", "0", "1"]])
 )
-def test_main_exits_with_a_documented_code_on_any_document(case, argv):
-    data, limit, over = case
+def test_main_exits_with_a_documented_code_on_any_whole_document(case, argv):
+    data, over = case
     with contextlib.ExitStack() as stack:
         stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
         stack.enter_context(mock.patch.object(sys, "stdin", stdin))
-        if limit is not None:
-            stack.enter_context(mock.patch.object(cli, "MAX_DOCUMENT", limit))
         if over:
             for module, name in _construction_sites():
                 stack.enter_context(mock.patch.object(module, name, _refuse))
