@@ -18,7 +18,7 @@ from math import prod
 from .errors import InputError
 from .ktheory import AbelianGroup, KGroups, canonicalize, cokernel, kgroups_of_system
 from .matrices import IntMatrix
-from .textile import exchange_system
+from .textile import MAX_TILES, exchange_system
 
 MAX_SUMMANDS = 2_000_002  # M + N - 2; (10**6, 10**6 + 1) is admitted and takes about 1 s
 
@@ -149,8 +149,11 @@ def exchange_k0_blockwise(N, M):
     The defining matrix reduces blockwise to N-2 copies of E_M - I_M plus one
     copy of (M+N-2) E_M - (N-1) I_M; each block cokernel is computed by the
     Smith pipeline on the explicit M x M matrix and the results are summed.
+    Blocks of more than MAX_TILES entries (M > 500) are refused before any is built.
     """
     _require_pair(N, M)
+    if M * M > MAX_TILES:
+        raise InputError(f"blocks too large: {M} x {M} entries, over the limit of {MAX_TILES}")
     e_m = IntMatrix.all_ones(M)
     i_m = IntMatrix.identity(M)
     orders = []

@@ -137,21 +137,22 @@ def _support_successors(rows):
     return [[j for j, x in enumerate(row) if x] for row in rows]
 
 
-def unreachable_pair(successors):
+def unreachable_pair(successors, required=None):
     """A witness (p, q) of 0-based vertices with no path from p to q, or None.
 
     ``successors[i]`` lists the heads of the edges out of vertex i; repeats
-    are harmless.  None means the digraph is irreducible.  Two breadth-first
-    searches from vertex 0, along the edges and against them, find the first
-    vertex q that 0 cannot reach, giving (0, q), or else the first that
-    cannot reach 0, giving (q, 0).  When both reach everything the digraph
-    is strongly connected, which is irreducibility except for a loopless
-    single vertex; its witness is (0, 0).
+    are harmless.  Vertices from ``required`` on are waypoints that paths may
+    pass through; by default there are none.  Two breadth-first searches from
+    vertex 0, along the edges and against them, find the first required vertex
+    q that 0 cannot reach, giving (0, q), or else the first that cannot reach
+    0, giving (q, 0).  If both reach every required vertex, the witness is
+    (0, 0) unless 0 lies on a cycle (without waypoints: unless there are two or
+    more vertices or the one has a loop); None means irreducible.
     """
-    n = len(successors)
+    n = len(successors) if required is None else required
     if n == 0:
         raise InputError("reachability needs at least one vertex")
-    pred = [[] for _ in range(n)]
+    pred = [[] for _ in successors]
     for i, heads in enumerate(successors):
         for j in heads:
             pred[j].append(i)
@@ -166,7 +167,7 @@ def unreachable_pair(successors):
         for q in range(n):
             if q not in seen:
                 return (0, q) if forward else (q, 0)
-    return None if n > 1 or 0 in successors[0] else (0, 0)
+    return (0, 0) if seen.isdisjoint(successors[0]) else None
 
 
 def is_irreducible(matrix):

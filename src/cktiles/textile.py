@@ -96,7 +96,8 @@ class TextileSystem:
     def successors(self):
         """(i, right, below) per tile: its corner pair i, from ``corner_ids``, and the corner
         pairs whose left edge is its right edge (A_k's 1s in row i) and whose top edge
-        is its bottom edge (B_k's 1s in row i)."""
+        is its bottom edge (B_k's 1s in row i).  Only the block-matrix cross-check and
+        the dense matrices read it; transitivity searches the integer view itself."""
         top, right, left, bottom = self.edge_ids
         tile_at = dict(zip(self.corner_ids, range(len(top))))  # corner pair -> a tile there
         by_top, by_left = [[] for _ in self.graph_a.edges], [[] for _ in self.graph_b.edges]

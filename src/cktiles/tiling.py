@@ -162,19 +162,23 @@ def check_diagonal_property(sys):
 
 
 def _unreachable_corner_pair(sys):
-    """:func:`~cktiles.graph.unreachable_pair` on A_k + B_k, its 1s read off the
-    successors: None iff A_k + B_k is irreducible (with at least one corner pair)."""
-    heads = [[] for _ in sys.omega]
-    for i, right, below in sys.successors:
-        heads[i] += right + below
-    return unreachable_pair(heads)
+    """:func:`~cktiles.graph.unreachable_pair` on A_k + B_k = RL, corner → edge → corner:
+    corner pair i is vertex i < n, B-edge e is n + e and A-edge e is n + |E_B| + e, a tile
+    at c giving c → its right, bottom edge and its left, top edge → c.  None iff irreducible."""
+    n, shift = len(sys.omega), len(sys.omega) + len(sys.graph_b.edges)
+    heads = [[] for _ in range(shift + len(sys.graph_a.edges))]
+    for c, t, r, l, b in zip(sys.corner_ids, *sys.edge_ids):
+        heads[c] += n + r, shift + b
+        heads[n + l].append(c)
+        heads[shift + t].append(c)
+    return unreachable_pair(heads, n)
 
 
 def is_transitive_matrix(sys):
     """Matrix criterion for transitivity: the sum of transition matrices is irreducible.
 
-    Decided on the successor lists, building no matrix.  Irreducibility of the
-    dense A_k + B_k or H_k is the same condition; the tests check they agree.
+    Decided on the integer view's corners and edges; no matrix, no ``successors``.
+    The dense A_k + B_k or H_k is irreducible on the same condition; tests check it.
     """
     return bool(sys.omega) and _unreachable_corner_pair(sys) is None
 
@@ -361,11 +365,14 @@ def is_transitive_search(sys, max_steps=None):
     The default bound of twice the number of corner pairs is enough for the
     search to agree with the matrix criterion: positivity of an irreducible
     0/1 matrix power entry occurs within the dimension, doubled to make room
-    for one forced move of each kind.
+    for one forced move of each kind.  A system with no tiles is not
+    transitive, as the matrix criterion says, at any bound.
     """
     if max_steps is None:
-        max_steps = 2 * len(sys.omega)
+        max_steps = 2 * len(sys.omega) or 1  # 1 with no tiles, so the default passes
     _require_bound(max_steps)
+    if not sys.tiles:
+        return False
     right = [[0, 0] for _ in sys.graph_b.edges]  # by B-edge: tiles leaving, entering
     down = [[0, 0] for _ in sys.graph_a.edges]  # by A-edge
     corners = [0] * len(sys.omega)

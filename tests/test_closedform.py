@@ -227,3 +227,30 @@ def test_summand_limit_admits_up_to_it(monkeypatch):
         closed_form_kgroups(3, 5)
     with pytest.raises(InputError, match="require N > 1"):  # the pair is checked first
         closed_form_kgroups(1, 10**30)
+
+
+def test_blockwise_refuses_huge_pairs_before_building_a_matrix():
+    n = 10**30
+    start = time.perf_counter()
+    with pytest.raises(InputError, match=f"blocks too large: {n + 1} x {n + 1} entries"):
+        exchange_k0_blockwise(n, n + 1)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_blockwise_refuses_past_the_tile_limit_with_no_matrix_built(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense IntMatrix was built")
+
+    monkeypatch.setattr(IntMatrix, "__init__", refuse)
+    with pytest.raises(InputError, match="501 x 501 entries, over the limit of 250000"):
+        exchange_k0_blockwise(2, 501)  # 501 * 501 > MAX_TILES = 500 * 500
+    with pytest.raises(InputError, match="require N > 1"):  # the pair is checked first
+        exchange_k0_blockwise(1, 10**30)
+
+
+def test_blockwise_admits_up_to_the_tile_limit(monkeypatch):
+    assert closedform.MAX_TILES == 500 * 500
+    monkeypatch.setattr(closedform, "MAX_TILES", 16)
+    assert exchange_k0_blockwise(3, 4) == kgroups_of_system(exchange_system(3, 4)).k0
+    with pytest.raises(InputError, match="5 x 5 entries, over the limit of 16"):
+        exchange_k0_blockwise(3, 5)

@@ -118,6 +118,21 @@ def test_unreachable_pair_examples():
         unreachable_pair([])
 
 
+def test_unreachable_pair_with_waypoints():
+    # vertices from `required` on are waypoints: never named, only passed through
+    assert unreachable_pair([[2], [2], [0, 1], [0]], 2) is None
+    assert unreachable_pair([[2], [2], [0, 1], [0]]) == (0, 3)  # waypoint 3 is unreachable
+    assert unreachable_pair([[2], [], [0]], 2) == (0, 1)
+    assert unreachable_pair([[2, 1], [], [0]], 2) == (1, 0)
+    # one required vertex: irreducible iff a cycle through waypoints returns to it
+    assert unreachable_pair([[1], [0]], 1) is None
+    assert unreachable_pair([[1], []], 1) == (0, 0)
+    assert unreachable_pair([[1], [1]], 1) == (0, 0)
+    assert unreachable_pair([[1], [2], [0]], 1) is None
+    with pytest.raises(InputError):
+        unreachable_pair([[0]], 0)
+
+
 def is_irreducible_by_powers(rows):
     """Second, independent irreducibility test: OR the boolean powers M^1..M^n.
 

@@ -11,6 +11,7 @@ from cktiles.matrices import IntMatrix
 from cktiles.ktheory import block_matrix_k0, kgroups_of_system
 from cktiles.textile import (
     Specification,
+    TextileSystem,
     Tile,
     build_system,
     canonical_system,
@@ -531,11 +532,16 @@ def test_transitivity_matrix_builds_no_dense_matrix(monkeypatch, corpus):
 
 
 def test_transitivity_matrix_at_the_paper_scale(monkeypatch):
-    sys_ = exchange_system(100, 150)
-    assert len(sys_.omega) == 15_000
+    sys_ = exchange_system(200, 300)
+    assert len(sys_.omega) == 60_000
     _no_dense_matrix(monkeypatch)
+    monkeypatch.setattr(TextileSystem, "successors", property(_refuse_successors))
     assert is_transitive_matrix(sys_)
     assert check_diagonal_property(sys_).ok
+
+
+def _refuse_successors(sys_):
+    raise AssertionError("the successor lists were built")
 
 
 def test_transitivity_matrix_of_a_system_without_tiles():
@@ -544,6 +550,16 @@ def test_transitivity_matrix_of_a_system_without_tiles():
     assert sys_.tiles == sys_.omega == ()
     assert sys_.edge_ids == ((),) * 4 and sys_.corner_ids == ()
     assert is_transitive_matrix(sys_) is False
+
+
+def test_transitivity_search_of_a_system_without_tiles():
+    ga, gb = graph_from_matrix([[0]], "A"), graph_from_matrix([[0]], "B")
+    sys_ = build_system(ga, gb, Specification(domain=(), mapping={}))
+    assert is_transitive_search(sys_) is False  # the default bound is not refused
+    assert is_transitive_search(sys_, 5) is False
+    for bound in (0, -1, True, 2.5):
+        with pytest.raises(InputError, match=f"^max_steps must be a positive int, got {bound!r}$"):
+            is_transitive_search(sys_, bound)
 
 
 class _NoLookups(dict):
