@@ -40,7 +40,8 @@ kg = kgroups_of_system(system)
 print("\nK0 =", kg.k0)
 print("K1 =", kg.k1)
 
-# the same group from the doubled block presentation Z^2n / (I - H^T) Z^2n
+# the same group from the doubled block presentation Z^2n / (I - H^T) Z^2n,
+# reduced on its unit block to the n-square I - (A_k + B_k)^T
 k0_from_block = block_matrix_k0(system)
 print("K0 from the block matrix:", k0_from_block)
 print("agree:", kg.k0 == k0_from_block)

@@ -11,6 +11,11 @@ the Bowen-Franks group is invariant under elementary strong shift
 equivalence (Williams, Ann. Math. 1973; Bowen and Franks, Ann. Math. 1977).
 Tile (alpha, b, a, beta) adds 1 to LR at rows {a, alpha} x columns {b, beta};
 for exchange(N, M), LR - I_m is [[(N-1) I_M, J], [J, (M-1) I_N]], J all ones.
+:func:`block_matrix_k0` checks K0 on the n corner pairs instead: the cokernel
+of I_2n - H^T, H = [[A_k, A_k], [B_k, B_k]], is that of its Schur complement
+I_n - (A_k + B_k)^T on a unit block.  That matrix is summed over the tiles'
+successors, so it uses no R, no L, no RL <-> LR exchange and no claimed
+group: a fault in the edge path does not carry over to it.
 :func:`cokernel` finds the invariant factors in two steps, on sparse rows
 that :func:`kgroups_of_system` and :func:`block_matrix_k0` read off the tiles:
 
@@ -221,43 +226,51 @@ def _unit_eliminated_core(rows, size):
     """Step (a): eliminate the +-1 pivots of ``size`` sparse rows, shortest row first.
 
     ``rows``, column -> nonzero entry dicts with keys ascending, is consumed.
-    Each step takes the shortest row holding a unit (the earliest on ties)
-    and pivots on its first unit; row operations clear the pivot's column
-    from the rows a lazily kept column index lists under it, and the pivot
-    row then splits off with invariant factor 1, since column operations
-    would clear it without touching any other row.  Returns the dense core:
-    the rows no pivot removed, in their original order, over the columns no
-    pivot removed, zero columns included, so the core is square.
+    Each step takes the shortest row holding a unit (the earliest on ties;
+    the scan stops at a one-entry row holding one) and pivots on its first
+    unit; row operations clear the pivot's column, deleted once from each
+    row, from the rows a lazily kept column index lists under it, and the
+    pivot row then splits off with invariant factor 1, since column
+    operations would clear it without touching any other row.  Returns the
+    dense core: the rows no pivot removed, in their original order, over
+    the columns no pivot removed, zero columns included, so the core is
+    square.
     """
     live = dict(enumerate(rows))
-    holders = {}
+    holders = [[] for _ in range(size)]
     for i, row in live.items():
         for j in row:
-            holders.setdefault(j, []).append(i)
+            holders[j].append(i)
     pivot_cols = set()
     while True:
         p, shortest = None, size + 1
         for i, row in live.items():
             if len(row) < shortest and (1 in row.values() or -1 in row.values()):
                 p, shortest = i, len(row)
+                if shortest == 1:
+                    break
         if p is None:
             break
         pivot_row = live.pop(p)
         c, sign = next((j, x) for j, x in pivot_row.items() if x in (1, -1))
         pivot_cols.add(c)
-        for i in holders.pop(c):
+        rest = [(j, x) for j, x in pivot_row.items() if j != c]
+        for i in holders[c]:
             row = live.get(i)
             if row is None or c not in row:
                 continue
             f = row[c] * sign  # a unit is its own inverse
-            for j, x in pivot_row.items():
-                y = row.get(j, 0) - f * x
-                if y:
-                    if j not in row:
-                        holders[j].append(i)
-                    row[j] = y
+            del row[c]
+            for j, x in rest:
+                if j in row:
+                    y = row[j] - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
                 else:
-                    del row[j]
+                    holders[j].append(i)
+                    row[j] = -f * x
     cols = [j for j in range(size) if j not in pivot_cols]
     return [[row.get(j, 0) for j in cols] for row in live.values()]
 
@@ -280,8 +293,13 @@ def _diagonal_mod(a, d):
 
     Each pivot clears its column with row transforms and its row with
     column transforms (:func:`_clearing_transform`), until both are clear.
-    The pivot only ever shrinks to a proper divisor, so this ends; entries
-    stay in [0, d).
+    A row transform by a pivot that divides changes the lower row only, and
+    only where the top row is nonzero.  While the pivot's column holds
+    nothing else, a row entry the pivot divides is zeroed directly, since
+    subtracting a multiple of that column touches no other row; after a
+    column transform that shrank the pivot, the column has filled in and
+    every later entry takes the full transform.  The pivot only ever
+    shrinks to a proper divisor, so this ends; entries stay in [0, d).
     """
     k = len(a)
     a = [[x % d for x in row] for row in a]
@@ -299,17 +317,33 @@ def _diagonal_mod(a, d):
             row[t], row[pj] = row[pj], row[t]
         top = a[t]
         while True:
+            support = [j for j in range(t + 1, k) if top[j]]
             for low in a[t + 1:]:
-                if low[t]:
-                    x, y, u, v = _clearing_transform(top[t], low[t])
-                    for j in range(t, k):
-                        top[j], low[j] = (x * top[j] + y * low[j]) % d, (v * low[j] - u * top[j]) % d
-            for j in range(t + 1, k):
-                if top[j]:
-                    x, y, u, v = _clearing_transform(top[t], top[j])
-                    for row in a[t:]:
-                        row[t], row[j] = (x * row[t] + y * row[j]) % d, (v * row[j] - u * row[t]) % d
-            if not any(low[t] for low in a[t + 1:]):
+                q = low[t]
+                if not q:
+                    continue
+                if q % top[t] == 0:
+                    u = q // top[t]
+                    low[t] = 0
+                    for j in support:
+                        low[j] = (low[j] - u * top[j]) % d
+                else:
+                    x, y, u, v = _clearing_transform(top[t], q)
+                    top[t:], low[t:] = (
+                        [(x * e + y * f) % d for e, f in zip(top[t:], low[t:])],
+                        [(v * f - u * e) % d for e, f in zip(top[t:], low[t:])],
+                    )
+                    support = [j for j in range(t + 1, k) if top[j]]
+            clear = True  # column t holds the pivot alone
+            for j in support:
+                if clear and top[j] % top[t] == 0:
+                    top[j] = 0  # subtracting a multiple of column t changes no other row
+                    continue
+                clear = False
+                x, y, u, v = _clearing_transform(top[t], top[j])
+                for row in a[t:]:
+                    row[t], row[j] = (x * row[t] + y * row[j]) % d, (v * row[j] - u * row[t]) % d
+            if clear or not any(low[t] for low in a[t + 1:]):
                 break
         diagonal.append(top[t])
     return diagonal
@@ -438,24 +472,26 @@ def kgroups_of_system(sys):
 
 
 def block_matrix_k0(sys):
-    """K0 through the doubled block matrix H: the cokernel of I_2n - H^T.
+    """K0 through the doubled block matrix H, as the cokernel of I_n - (A_k + B_k)^T.
 
     Equal to ``kgroups_of_system(sys).k0``, by an independent presentation on
-    the corner pairs.  Its sparse rows are those of U (I_2n - H^T), U =
-    [[I, 0], [-I, I]] unimodular, so the group is the same: row j is e_j
-    minus column j of A_k over column j of B_k, read off the tiles'
-    successors and assigned, not summed, as A_k and B_k are 0/1; row n + j
-    is e_n+j - e_j.  The matrix stays 2n-square, so this is not the
-    edge-space reduction it checks, and the tests still take the cokernel of
+    the corner pairs.  The standard one is I_2n - H^T = [[I - A_k^T, -B_k^T],
+    [-A_k^T, I - B_k^T]]; subtracting its top rows from its bottom ones leaves
+    [-I, I] there, and clearing with that unit block leaves I_n - (A_k + B_k)^T
+    beside an identity, so the cokernel is the same group.  Row j is e_j
+    minus column j of A_k + B_k, summed over the tiles' successors: two tiles
+    at one corner pair differ in their right and in their bottom edge, so A_k
+    and B_k come out 0/1, and a corner pair both beside and below one tile
+    gets -2.  The matrix stays in corner-pair space and is built from
+    ``successors`` alone, with no R, no L and no claimed group, so it is not
+    the edge-space reduction it checks; the tests still take the cokernel of
     I_2n - H^T itself.  The CLI's check, kgroups and corpus reports and the
     tests compare the two; the library's K-group path does not pay for it.
     """
     n = len(sys.omega)
     rows = [{} for _ in range(n)]
     for i, right, below in sys.successors:
-        for j in right:
-            rows[j][i] = -1
-        for j in below:
-            rows[j][n + i] = -1
-    rows = _sparse_rows(rows, 1) + [{j: -1, n + j: 1} for j in range(n)]
-    return _cokernel_of_rows(rows, 2 * n)
+        for j in right + below:
+            row = rows[j]
+            row[i] = row.get(i, 0) - 1
+    return _cokernel_of_rows(_sparse_rows(rows, 1), n)

@@ -30,9 +30,11 @@ from .matrices import IntMatrix
 class Specification:
     """A bijection from A-then-B edge paths to B-then-A edge paths.
 
-    ``domain`` is ordered (lexicographically by edge position); ``mapping``
-    sends each (alpha, b) with r(alpha) = s(b) to some (a, beta) with
-    r(a) = s(beta), s(alpha) = s(a) and r(b) = r(beta).
+    ``domain`` is ordered, and a built system numbers its tiles in that
+    order: the canonical and exchange specifications list it
+    lexicographically by edge position, an explicit kappa keeps the order of
+    its document.  ``mapping`` sends each (alpha, b) with r(alpha) = s(b) to
+    some (a, beta) with r(a) = s(beta), s(alpha) = s(a) and r(b) = r(beta).
     """
 
     domain: tuple

@@ -109,6 +109,25 @@ def test_explicit_kappa_roundtrip(tmp_path, capsys):
     assert report["kgroups"]["k0"]["text"] == "Z/3Z"
 
 
+def test_explicit_kappa_numbers_tiles_in_document_order(tmp_path, capsys):
+    # an explicit kappa keeps the order its document lists the entries in,
+    # and the tiles follow it
+    entries = []
+    for i in (1, 2):
+        for k in (1, 2):
+            entries.append([[[1, 1, i], [1, 1, k]], [[1, 1, k], [1, 1, i]]])
+    tops = []
+    for listed in (entries, entries[::-1]):
+        payload = {"A": [[2]], "B": [[2]], "kappa": listed}
+        code, out, _ = _run(capsys, ["tiles", _write(tmp_path, payload)])
+        assert code == 0
+        report = json.loads(out)
+        tops.append([tile["top"] for tile in report["tiles"]])
+    assert tops[0][0] == [1, 1, 1]
+    assert tops[1][0] == [1, 1, 2]
+    assert tops[1] == tops[0][::-1]
+
+
 def test_invalid_explicit_kappa_exits_5(tmp_path, capsys):
     entries = [
         [[[1, 1, 1], [1, 1, 1]], [[1, 1, 1], [1, 1, 1]]],

@@ -19,7 +19,7 @@ from cktiles.ktheory import (
     kgroups_of_system,
     smith_normal_form,
 )
-from cktiles.matrices import IntMatrix
+from cktiles.matrices import IntMatrix, rank_minor
 from cktiles.textile import exchange_system
 from conftest import random_system
 
@@ -336,9 +336,8 @@ def _presented(monkeypatch, k0_of, sys_):
 
 
 def test_both_k0_presentations_are_the_stated_matrices(monkeypatch, random_family):
-    # the edge presentation is LR - I_m, the cross-check U (I_2n - H_k^T)
-    # with U = [[I, 0], [-I, I]], entry by entry, on every family the groups
-    # are compared on
+    # the edge presentation is LR - I_m, the cross-check I_n - (A_k + B_k)^T,
+    # entry by entry, on every family the groups are compared on
     systems = [exchange_system(n, m) for n in range(2, 9) for m in range(n, 9)]
     systems += [e.system for e in standard_corpus(seed=1302, circulant_pairs=40)]
     systems += random_family
@@ -356,9 +355,7 @@ def test_both_k0_presentations_are_the_stated_matrices(monkeypatch, random_famil
         assert edge_matrix == l @ r - IntMatrix.identity(l.rows), sys_
         block = _presented(monkeypatch, block_matrix_k0, sys_)
         n = len(sys_.omega)
-        size = range(2 * n)
-        u = IntMatrix([[int(i == j) - int(i == j + n) for j in size] for i in size])
-        assert block == u @ (IntMatrix.identity(2 * n) - sys_.h_kappa.transpose()), sys_
+        assert block == IntMatrix.identity(n) - (sys_.a_kappa + sys_.b_kappa).transpose(), sys_
 
 
 def test_block_matrix_k0_matches_kgroups_on_exchange_pairs():
@@ -521,6 +518,12 @@ def test_unit_elimination_clears_a_refilled_entry_once():
     assert cokernel(dense) == canonicalize(invariant_factors_oracle(dense)) == canonicalize([26])
 
 
+def test_unit_elimination_takes_the_shortest_unit_row_past_earlier_ones():
+    # row 2 is the shortest row holding a unit, so it is the pivot and row 1
+    # keeps its 3; taking the earlier row 1 instead leaves -3 in row 2
+    assert _core(IntMatrix([[0, 0, 0], [0, 3, 1], [0, 0, 1]])) == [[0, 0], [0, 3]]
+
+
 _DENSE_SQUARES = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n),
@@ -563,14 +566,39 @@ def test_modular_diagonal_keeps_a_pivot_that_divides():
     assert kgroups_of_system(sys_).k0 == expected == block_matrix_k0(sys_)
 
 
+def test_modular_diagonal_zeroes_a_divisible_row_entry_only_while_its_column_is_clear():
+    # no entry is a unit, so this is its own core, with D = 1792; at the
+    # fourth pivot a Bezout step on a column (pivot 4, entry 582) refills the
+    # pivot's column and leaves the pivot 2, which divides the next entry,
+    # 590; zeroing that entry without the column transform gives
+    # 2, 2, 2, 2, 2, 56
+    rows = [
+        [-24, -20, 4, 4, 4, 4],
+        [-20, -16, 2, 2, 2, 2],
+        [4, 2, 0, -2, -2, -2],
+        [4, 2, -2, 0, -2, -2],
+        [4, 2, -2, -2, 0, -2],
+        [4, 2, -2, -2, -2, 0],
+    ]
+    m = IntMatrix(rows)
+    assert _core(m) == rows
+    assert rank_minor(rows)[1] == 1792
+    assert canonicalize(invariant_factors_oracle(m)) == canonicalize([2, 2, 2, 2, 4, 28])
+    assert cokernel(m) == canonicalize([2, 2, 2, 2, 4, 28])
+
+
 @pytest.mark.parametrize(
-    "n, m", [(9, 12), (11, 12), pytest.param(None, None, id="corpus-1302-40")]
+    "n, m",
+    [(9, 12), (11, 12), (12, 17), (20, 30), (30, 40)]
+    + [pytest.param(None, None, id="corpus-1302-40")],
 )
 def test_nonsingular_cores_never_reach_the_exact_path(monkeypatch, n, m):
     # entry growth in the exact elimination depends on pivot order, not on
     # size: on whole matrices it was about 100 times slower at exchange(9, 12),
     # n = 108, than at exchange(11, 12), n = 132, so no core is left to it,
-    # singular or not; 60 of the corpus's 130 K0 matrices have a singular core
+    # singular or not; 60 of the corpus's 130 K0 matrices have a singular core.
+    # Past exchange(8, 8), where the presentations are compared entry by
+    # entry, the closed form is the oracle for both, up to 1,200 corner pairs
     if n is None:
         systems = [e.system for e in standard_corpus(seed=1302, circulant_pairs=40)]
     else:
