@@ -482,6 +482,9 @@ def main(argv=None):
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        print("input error: out of memory: the system is too large to finish", file=sys.stderr)
+        return EXIT_INPUT
     print(_render(report, args.pretty), end="")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

@@ -11,10 +11,12 @@ tile sharing the (top, left) corner of w'.  The diagonal property extends such
 a staircase to a full plane configuration, so a finite witness is the
 computational meaning of "both tiles occur in one configuration with the
 second strictly right-and-below the first".  :func:`is_transitive_search`
-asks this of every pair at once by sweeping tile bitsets level by level;
-:func:`find_transitivity_witness` builds one shortest witness by a
-breadth-first level sweep over integer states, testing each state for the
-goal when it is discovered.
+asks this of every pair at once: one level-by-level sweep carries one bit per
+start tile, and bit s follows exactly the states a breadth-first search from
+s reaches, so it answers as a search per start does at every bound; a
+non-transitive system costs more, since every start advances until one dies.
+:func:`find_transitivity_witness` builds one shortest witness by a level
+sweep over integer states, testing each state for the goal when found.
 """
 
 from collections import defaultdict
@@ -314,53 +316,25 @@ def find_transitivity_witness(sys, start, target, max_steps):
     )
 
 
-def _step(masks, tiles):
-    """The tiles one move away from the tile bitset ``tiles``, given the
-    (leaving, entering) tile bitsets of each edge."""
-    reached = 0
-    for leaving, entering in masks:
-        if leaving & tiles:
-            reached |= entering
-    return reached
-
-
-def _staircase_sweep(start_idx, max_steps, right, down, corners):
-    """True iff the states with both flags set reached from ``start_idx`` within
-    ``max_steps`` moves meet every tile bitset in ``corners``.
-
-    Each layer of states (saw a Right, a Down, or both) is swept level by level
-    as a visited and a new tile bitset; a state joins its layer at its
-    breadth-first distance.  The start, with neither flag, is in level 0 only.
-    """
-    first = 1 << start_idx
-    seen_r = seen_d = seen_rd = new_r = new_d = new_rd = 0
-    for _ in range(max_steps):
-        new_r, new_d, new_rd = (
-            _step(right, first | new_r) & ~seen_r,
-            _step(down, first | new_d) & ~seen_d,
-            (_step(right, new_d | new_rd) | _step(down, new_r | new_rd)) & ~seen_rd,
-        )
-        first = 0
-        seen_r, seen_d, seen_rd = seen_r | new_r, seen_d | new_d, seen_rd | new_rd
-        if new_rd:  # only new both-flag states meet corners; with some, the start is live
-            corners = [c for c in corners if not c & new_rd]
-            if not corners:
-                return True
-        elif not (new_r or new_d):
-            return False
-    return False
-
-
 def is_transitive_search(sys, max_steps=None):
     """True iff every ordered pair of tiles admits a staircase witness.
 
     w' has a witness within ``max_steps`` moves exactly when a state with both
-    flags set reached within them has the (top, left) corner of w', so one
-    sweep per start covers every target.  The sweep moves tile bitsets (bit k
-    for tile k) across edges, Right from right edge to left edge and Down from
-    bottom edge to top edge, and reaches the states that the breadth-first
-    search of :func:`find_transitivity_witness` reaches: the answer is the
-    same at every bound.
+    flags set reached within them has the (top, left) corner of w'.  One
+    level-by-level sweep runs every start at once, one bit per start tile: a
+    tile holds the starts reaching it having seen a Right only, a Down only,
+    or both, as three lanes of one int.  A level moves a tile's new starts
+    from its right edge to the tiles of that left edge, and from its bottom
+    edge to the tiles of that top edge, minus the starts each has seen, and
+    a corner collects its tiles' both-flag starts.  The start state, with
+    neither flag, is a source at level 0 only.  So bit s follows, level by
+    level, exactly the states :func:`find_transitivity_witness` reaches from
+    s, and the answer is that of a sweep per start at every bound.  A start
+    with no new states has none later, so the sweep stops at the first level
+    where every start covers every corner (True) or some start that does not
+    is dead (False).  A level costs O(T + m) operations on T-bit ints; on a
+    non-transitive system every start advances until the first one dies, which
+    costs more than a sweep per start that stops there.
 
     The default bound of twice the number of corner pairs is enough for the
     search to agree with the matrix criterion: positivity of an irreducible
@@ -373,16 +347,39 @@ def is_transitive_search(sys, max_steps=None):
     _require_bound(max_steps)
     if not sys.tiles:
         return False
-    right = [[0, 0] for _ in sys.graph_b.edges]  # by B-edge: tiles leaving, entering
-    down = [[0, 0] for _ in sys.graph_a.edges]  # by A-edge
+    top, right, left, bottom = sys.edge_ids
+    # bit s, lane + s, both + s of a tile: start s reaches it seeing a Right only, a Down only, both
+    lane, both = len(top), 2 * len(top)
+    everyone = (1 << lane) - 1
+    into_left = [0] * len(sys.graph_b.edges)  # by B-edge: the states a Right move enters
+    into_top = [0] * len(sys.graph_a.edges)  # by A-edge: the states a Down move enters
+    for k, (r, b) in enumerate(zip(right, bottom)):
+        into_left[r] |= 1 << k
+        into_top[b] |= 1 << lane + k
+    seen = [0] * lane
     corners = [0] * len(sys.omega)
-    for k, (t, r, l, b, c) in enumerate(zip(*sys.edge_ids, sys.corner_ids)):
-        right[r][0] |= 1 << k
-        right[l][1] |= 1 << k
-        down[b][0] |= 1 << k
-        down[t][1] |= 1 << k
-        corners[c] |= 1 << k
-    return all(_staircase_sweep(k, max_steps, right, down, corners) for k in range(len(sys.tiles)))
+    for _ in range(max_steps):
+        from_right, from_bottom = [0] * len(into_left), [0] * len(into_top)
+        live = 0
+        for k, (t, r, l, b, c) in enumerate(zip(top, right, left, bottom, sys.corner_ids)):
+            new = (into_left[l] | into_top[t]) & ~seen[k]
+            if new:
+                seen[k] |= new
+                corners[c] |= new
+                from_right[r] |= new
+                from_bottom[b] |= new
+                live |= new
+        complete = everyone
+        for covered in corners:
+            complete &= covered >> both
+        if complete == everyone:
+            return True
+        if (live | live >> lane | live >> both | complete) & everyone != everyone:
+            return False
+        # a Right move keeps a Right only and makes a Down only both; a Down move, the reverse
+        into_left = [s & everyone | ((s >> lane | s >> both) & everyone) << both for s in from_right]
+        into_top = [s & everyone << lane | ((s | s >> both) & everyone) << both for s in from_bottom]
+    return False
 
 
 def extend_patch(sys, patch, position):

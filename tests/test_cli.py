@@ -879,6 +879,18 @@ def test_exchange_commands_are_refused_over_the_limits(capsys, monkeypatch, argv
     assert _run(capsys, argv) == (3, "", f"input error: system too large: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["check", "kgroups"])
+def test_running_out_of_memory_is_an_input_error(tmp_path, capsys, monkeypatch, command):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(ktheory, "_unit_eliminated_core", out_of_memory)
+    path = _write(tmp_path, EXCHANGE_2_3)
+    assert _run(capsys, [command, path]) == (
+        3, "", "input error: out of memory: the system is too large to finish\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

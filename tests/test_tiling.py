@@ -280,27 +280,16 @@ def test_search_and_witness_take_only_a_positive_int_bound(bound):
         find_transitivity_witness(sys_, sys_.tiles[0], sys_.tiles[1], bound)
 
 
-def test_search_runs_one_sweep_per_start_tile_and_no_bfs(monkeypatch):
-    starts = []
-    sweep = tiling._staircase_sweep
-
-    def counting_sweep(start_idx, *args):
-        starts.append(start_idx)
-        return sweep(start_idx, *args)
-
+def test_search_runs_no_bfs_and_stops_before_the_bound(monkeypatch):
     def no_bfs(*args):
         raise AssertionError("the search runs no breadth-first search")
 
-    monkeypatch.setattr(tiling, "_staircase_sweep", counting_sweep)
     monkeypatch.setattr(tiling, "_staircase_bfs", no_bfs)
-    sys_ = exchange_system(4, 5)
-    assert len(sys_.tiles) == 20
-    assert is_transitive_search(sys_)
-    assert starts == list(range(20))
-    starts.clear()
-    # the first start tile misses the other vertex's corner, so the search stops
-    assert not is_transitive_search(_identity_system())
-    assert starts == [0]
+    # a sweep run to a bound of 10**9 would not return: the search stops at the
+    # level where every start covers every corner, or where a start that does
+    # not is dead (each tile of the identity system reaches only its own corner)
+    assert is_transitive_search(exchange_system(4, 5), 10**9)
+    assert not is_transitive_search(_identity_system(), 10**9)
 
 
 def test_block_matrix_irreducibility_matches_matrix_criterion(corpus):
