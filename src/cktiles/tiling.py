@@ -11,12 +11,16 @@ tile sharing the (top, left) corner of w'.  The diagonal property extends such
 a staircase to a full plane configuration, so a finite witness is the
 computational meaning of "both tiles occur in one configuration with the
 second strictly right-and-below the first".  :func:`is_transitive_search`
-asks this of every pair at once: one level-by-level sweep carries one bit per
-start tile, and bit s follows exactly the states a breadth-first search from
-s reaches, so it answers as a search per start does at every bound; a
-non-transitive system costs more, since every start advances until one dies.
-:func:`find_transitivity_witness` builds one shortest witness by a level
-sweep over integer states, testing each state for the goal when found.
+asks this of every pair in one sweep; :func:`find_transitivity_witness`
+builds one shortest witness by a level sweep over integer states.
+
+Both searches start every chain with a Right, by a swap lemma.  Take a Down
+then a Right move, w1 -> w2 -> w3.  kappa's endpoint rules and the links give
+r(right w1) = r(bottom w1) = r(top w2) = s(right w2) = s(left w3) = s(top w3),
+so (right w1, top w3) is a B-then-A path.  kappa maps Sigma_AB onto Sigma_BA
+one to one, so exactly one tile w4 has that left and bottom edge: w1 -> w4 -> w3
+is a Right then a Down move.  Repeated swaps turn a chain with both kinds of
+move into one of the same length and ends that starts with a Right.
 """
 
 from collections import defaultdict
@@ -221,15 +225,15 @@ def _require_bound(max_steps):
 
 
 def _staircase_bfs(sys, start_idx, max_steps, target_idx):
-    """Breadth-first search over (tile, saw-a-Right, saw-a-Down) states.
+    """Breadth-first search over Right-first (tile, saw-a-Right, saw-a-Down) states.
 
-    A state is the int ``4 * tile index + 2 * saw_right + saw_down``.  The
-    tiles are listed by left and by top edge once per call, off the system's
-    integer view, and the states are swept level by level in the order a FIFO
-    queue would dequeue them.  A state is tested as a goal when it is first
-    discovered; the first goal discovered is the first such a queue would
-    dequeue, and its parent chain is fixed at discovery, so the witness is the
-    one a goal test at dequeue gives.
+    A state is the int ``4 * tile index + 2 * saw_right + saw_down``; no Down
+    move leaves a state that saw no Right.  The states are swept level by
+    level in the order a FIFO queue would dequeue them, each tested as a goal
+    when first discovered, so the first goal and its parent chain are those a
+    goal test at dequeue gives.  A queue that also keeps Down-only states
+    dequeues the states whose chain starts with a Right first at every level,
+    so it gives the same witness.
 
     Returns the parent map, ``{state: (parent state, move)}`` with None for the
     start, and the first state with both flags set whose tile has the
@@ -257,9 +261,8 @@ def _staircase_bfs(sys, start_idx, max_steps, target_idx):
                     if nxt in goals:
                         return parents, nxt
                     discovered.append(nxt)
-            flags = (state & 2) | 1  # a Down move sets saw_down
-            for base in by_top[bottom[idx]]:
-                nxt = base | flags
+            for base in by_top[bottom[idx]] if state & 2 else ():  # no Down before a Right
+                nxt = base | 3  # so a Down move sets both flags
                 if nxt not in parents:
                     parents[nxt] = (state, DOWN)
                     if nxt in goals:
@@ -294,14 +297,14 @@ def witness_path(sys, start, target, max_steps):
 def find_transitivity_witness(sys, start, target, max_steps):
     """Shortest staircase witness from ``start`` to ``target``, by breadth-first search.
 
-    States are (tile, saw-a-Right, saw-a-Down); the goal is any state with
-    both flags set whose tile shares the (top, left) corner of ``target``.
-    The search sweeps the states level by level and tests each for the goal
-    when it is discovered, which finds the witness a FIFO search testing at
-    dequeue finds.  Returns None when no witness exists within
-    ``max_steps`` moves; that is a result, not an error.  Every link is read
-    off the tiles listed by edge, so the witness is valid as built;
-    :func:`witness_is_valid` re-verifies it in tests.
+    States are (tile, saw-a-Right, saw-a-Down) with no Down before a Right;
+    the goal is any state with both flags set whose tile shares the (top,
+    left) corner of ``target``.  The search sweeps the states level by level
+    and tests each for the goal when it is discovered, which finds the
+    witness a FIFO search testing at dequeue finds.  Returns None when no
+    witness exists within ``max_steps`` moves; that is a result, not an
+    error.  Every link is read off the tiles listed by edge, so the witness
+    is valid as built; :func:`witness_is_valid` re-verifies it in tests.
     """
     tiles = sys.tiles
     if start not in tiles or target not in tiles:
@@ -322,19 +325,18 @@ def is_transitive_search(sys, max_steps=None):
     w' has a witness within ``max_steps`` moves exactly when a state with both
     flags set reached within them has the (top, left) corner of w'.  One
     level-by-level sweep runs every start at once, one bit per start tile: a
-    tile holds the starts reaching it having seen a Right only, a Down only,
-    or both, as three lanes of one int.  A level moves a tile's new starts
-    from its right edge to the tiles of that left edge, and from its bottom
-    edge to the tiles of that top edge, minus the starts each has seen, and
-    a corner collects its tiles' both-flag starts.  The start state, with
-    neither flag, is a source at level 0 only.  So bit s follows, level by
-    level, exactly the states :func:`find_transitivity_witness` reaches from
-    s, and the answer is that of a sweep per start at every bound.  A start
-    with no new states has none later, so the sweep stops at the first level
-    where every start covers every corner (True) or some start that does not
-    is dead (False).  A level costs O(T + m) operations on T-bit ints; on a
-    non-transitive system every start advances until the first one dies, which
-    costs more than a sweep per start that stops there.
+    tile holds the starts reaching it having seen a Right only, or both, as
+    two lanes of one int.  A level moves a tile's new starts from its right
+    edge to the tiles of that left edge, and from its bottom edge to the tiles
+    of that top edge, minus the starts each has seen, and a corner collects
+    its tiles' both-flag starts.  The start, with neither flag, makes its
+    Right moves at level 0.  So bit s follows, level by level, exactly the
+    states :func:`find_transitivity_witness` reaches from s, and the answer is
+    that of a sweep per start at every bound.  A start with no new states has
+    none later, so the sweep stops at the first level where every start covers
+    every corner (True) or some start that does not is dead (False).  A level
+    costs O(T + m) operations on T-bit ints; on a non-transitive system every
+    start advances until the first one dies.
 
     The default bound of twice the number of corner pairs is enough for the
     search to agree with the matrix criterion: positivity of an irreducible
@@ -348,15 +350,13 @@ def is_transitive_search(sys, max_steps=None):
     if not sys.tiles:
         return False
     top, right, left, bottom = sys.edge_ids
-    # bit s, lane + s, both + s of a tile: start s reaches it seeing a Right only, a Down only, both
-    lane, both = len(top), 2 * len(top)
-    everyone = (1 << lane) - 1
+    both = len(top)  # bit s and both + s of a tile: start s reaches it seeing a Right only, both
+    everyone = (1 << both) - 1
     into_left = [0] * len(sys.graph_b.edges)  # by B-edge: the states a Right move enters
     into_top = [0] * len(sys.graph_a.edges)  # by A-edge: the states a Down move enters
-    for k, (r, b) in enumerate(zip(right, bottom)):
+    for k, r in enumerate(right):
         into_left[r] |= 1 << k
-        into_top[b] |= 1 << lane + k
-    seen = [0] * lane
+    seen = [0] * both
     corners = [0] * len(sys.omega)
     for _ in range(max_steps):
         from_right, from_bottom = [0] * len(into_left), [0] * len(into_top)
@@ -374,11 +374,11 @@ def is_transitive_search(sys, max_steps=None):
             complete &= covered >> both
         if complete == everyone:
             return True
-        if (live | live >> lane | live >> both | complete) & everyone != everyone:
+        if (live | live >> both | complete) & everyone != everyone:
             return False
-        # a Right move keeps a Right only and makes a Down only both; a Down move, the reverse
-        into_left = [s & everyone | ((s >> lane | s >> both) & everyone) << both for s in from_right]
-        into_top = [s & everyone << lane | ((s | s >> both) & everyone) << both for s in from_bottom]
+        # a Right move keeps each lane; a Down move puts both lanes into both
+        into_left = from_right
+        into_top = [((s | s >> both) & everyone) << both for s in from_bottom]
     return False
 
 

@@ -3,15 +3,42 @@ import random
 import pytest
 
 from cktiles.corpus import circulant_matrix, standard_corpus
-from cktiles.textile import Specification, build_system, essential_graphs, sigma_ab, sigma_ba
+from cktiles.textile import (
+    Specification, build_system, canonical_system, essential_graphs, exchange_system, sigma_ab,
+    sigma_ba,
+)
 
 CORPUS_SEED = 1302
+
+# the systems of the staircase benchmark, rebuilt from their matrices:
+# (n, m) exchange pairs and (n, shifts of A, shifts of B) circulant pairs
+STAIRCASE_EXCHANGE = [(n, m) for n in range(4, 8) for m in range(n + 1, 9)]
+STAIRCASE_CIRCULANT = [
+    (4, (1, 2, 3), (0, 1)),
+    (5, (1, 2, 4), (2, 3, 4)),
+    (5, (2, 4), (0, 4)),
+    (6, (0, 2, 4), (0, 4)),
+    (6, (0, 2), (0, 4, 5)),
+    (6, (0, 3), (0, 3)),
+    (6, (1, 2, 4), (2, 3, 4)),
+]
 
 
 @pytest.fixture(scope="session")
 def corpus():
     """Every test shares one deterministic corpus of built systems."""
     return standard_corpus(seed=CORPUS_SEED, circulant_pairs=24)
+
+
+@pytest.fixture(scope="session")
+def staircase_systems():
+    """The staircase benchmark's 17 systems, 20 to 56 tiles: the exchange pairs, then
+    the circulant pairs under the canonical specification."""
+    systems = [exchange_system(n, m) for n, m in STAIRCASE_EXCHANGE]
+    return systems + [
+        canonical_system(circulant_matrix(n, shifts_a), circulant_matrix(n, shifts_b))
+        for n, shifts_a, shifts_b in STAIRCASE_CIRCULANT
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,11 @@
 """The staircase search, all start tiles in one sweep, against the sweep per
 start tile of ``tests/reference_search.py``: the same answer at every bound
 from 1 to 2|omega| + 1 and at the default, on the staircase benchmark's
-systems, the standard corpus, the random family and random circulant pairs."""
+systems, the standard corpus, the random family and random circulant pairs.
+On the same families, the swap lemma that lets the library's searches start
+every staircase with a Right, while the reference keeps the Down-only states."""
+
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -9,21 +13,16 @@ from hypothesis import strategies as st
 
 import reference_search as ref
 from cktiles.corpus import circulant_matrix, standard_corpus
-from cktiles.textile import canonical_system, exchange_system
+from cktiles.textile import canonical_system
 from cktiles.tiling import is_transitive_search
 
-# the systems of the staircase benchmark, rebuilt from their matrices:
-# (n, m) exchange pairs and (n, shifts of A, shifts of B) circulant pairs
-STAIRCASE_EXCHANGE = [(n, m) for n in range(4, 8) for m in range(n + 1, 9)]
-STAIRCASE_CIRCULANT = [
-    (4, (1, 2, 3), (0, 1)),
-    (5, (1, 2, 4), (2, 3, 4)),
-    (5, (2, 4), (0, 4)),
-    (6, (0, 2, 4), (0, 4)),
-    (6, (0, 2), (0, 4, 5)),
-    (6, (0, 3), (0, 3)),
-    (6, (1, 2, 4), (2, 3, 4)),
-]
+# random circulant pairs (n, shifts of A, shifts of B) with n <= 6
+CIRCULANT_PAIRS = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        *(st.sets(st.integers(0, n - 1), min_size=1).map(sorted) for _ in range(2)),
+    )
+)
 
 
 def _circulant_system(n, shifts_a, shifts_b):
@@ -39,11 +38,27 @@ def _answers(sys_):
     return answers
 
 
-def test_staircase_benchmark_systems_match_the_sweep_per_start():
-    systems = [exchange_system(n, m) for n, m in STAIRCASE_EXCHANGE]
-    systems += [_circulant_system(*pair) for pair in STAIRCASE_CIRCULANT]
-    assert len(systems) == 17
-    defaults = [_answers(sys_)[-1] for sys_ in systems]
+def _swapped_steps(sys_):
+    """The number of Down-then-Right paths w1 -> w2 -> w3, each asserted to have
+    exactly one w4 with w1 -> w4 a Right move and w4 -> w3 a Down move."""
+    top, right, left, bottom = sys_.edge_ids
+    by_left, by_top = defaultdict(list), defaultdict(list)
+    for k, (t, l) in enumerate(zip(top, left)):
+        by_left[l].append(k)
+        by_top[t].append(k)
+    paths = 0
+    for w1 in range(len(top)):
+        for w2 in by_top[bottom[w1]]:
+            for w3 in by_left[right[w2]]:
+                swaps = [w4 for w4 in by_left[right[w1]] if bottom[w4] == top[w3]]
+                assert len(swaps) == 1, (w1, w2, w3, swaps)
+                paths += 1
+    return paths
+
+
+def test_staircase_benchmark_systems_match_the_sweep_per_start(staircase_systems):
+    assert len(staircase_systems) == 17
+    defaults = [_answers(sys_)[-1] for sys_ in staircase_systems]
     assert defaults.count(False) == 2  # circulant(6;0,2,4;0,4) and circulant(6;0,3;0,3)
 
 
@@ -60,13 +75,18 @@ def test_random_family_matches_the_sweep_per_start(random_family):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=6).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            *(st.sets(st.integers(0, n - 1), min_size=1).map(sorted) for _ in range(2)),
-        )
-    )
-)
+@given(CIRCULANT_PAIRS)
 def test_circulant_pairs_match_the_sweep_per_start(pair):
     _answers(_circulant_system(*pair))
+
+
+def test_every_down_then_right_step_swaps_once(staircase_systems, random_family):
+    corpora = [standard_corpus(seed=seed) for seed in (1302, 2012)]
+    systems = staircase_systems + random_family + [e.system for c in corpora for e in c]
+    assert all(_swapped_steps(sys_) for sys_ in systems)  # each has such paths
+
+
+@settings(max_examples=40, deadline=None)
+@given(CIRCULANT_PAIRS)
+def test_circulant_pairs_swap_every_down_then_right_step_once(pair):
+    _swapped_steps(_circulant_system(*pair))
