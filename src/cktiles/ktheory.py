@@ -13,9 +13,11 @@ Tile (alpha, b, a, beta) adds 1 to LR at rows {a, alpha} x columns {b, beta};
 for exchange(N, M), LR - I_m is [[(N-1) I_M, J], [J, (M-1) I_N]], J all ones.
 :func:`block_matrix_k0` checks K0 on the n corner pairs instead: the cokernel
 of I_2n - H^T, H = [[A_k, A_k], [B_k, B_k]], is that of its Schur complement
-I_n - (A_k + B_k)^T on a unit block.  That matrix is summed over the tiles'
-successors, so it uses no R, no L, no RL <-> LR exchange and no claimed
-group: a fault in the edge path does not carry over to it.
+I_n - (A_k + B_k)^T on a unit block and of its transpose, with columns
+reversed and rows differenced by earlier rows with the same A_k part, then
+the same B_k pair: unit lower-triangular, so unimodular.  It reads only the
+tiles' successors, with no R, no L, no RL <-> LR exchange and no claimed
+group: a fault in the edge path does not carry over.
 :func:`cokernel` finds the invariant factors in two steps, on sparse rows
 that :func:`kgroups_of_system` and :func:`block_matrix_k0` read off the tiles:
 
@@ -390,14 +392,14 @@ def kernel_rank(m):
 def canonicalize(summands):
     """Turn a list of cyclic orders (0 meaning Z) into invariant-factor form.
 
-    Equal orders are counted once, and the distinct orders above 1 are
-    refined into a pairwise-coprime base without factoring: a newcomer x
-    sharing g = gcd(x, b) > 1 with a member b takes b out and queues x/g, g
-    and b/g, until no two members share a factor (each split divides the
-    product of base and queue by g, so this ends).  A prime divides at most
-    one member, so members stand in for primes: the largest invariant
-    factor collects the largest power of each, and so on down.
-    Order-independent; summands of order 1 vanish.
+    Sorted orders above 1 that divide in turn are the invariant factors.
+    Otherwise equal orders are counted once, and the distinct orders above 1
+    are refined into a pairwise-coprime base without factoring: a newcomer x
+    sharing g = gcd(x, b) > 1 with a member b takes b out and queues x/g, g and
+    b/g, until no two members share a factor (each split divides the product of
+    base and queue by g, so this ends).  A prime divides at most one member, so
+    members stand in for primes: the largest factor collects the largest power
+    of each, and so on down.  Order-independent; summands of order 1 vanish.
     """
     try:
         orders = list(summands)
@@ -406,6 +408,9 @@ def canonicalize(summands):
     for order in orders:
         if type(order) is not int or order < 0:
             raise InputError(f"cyclic orders must be nonnegative ints, got {order!r}")
+    chain = sorted(order for order in orders if order > 1)
+    if all(large % small == 0 for small, large in zip(chain, chain[1:])):
+        return AbelianGroup(free_rank=orders.count(0), torsion=chain)
     counts = Counter(orders)
     free_rank = counts.pop(0, 0)
     base, queue = [], [order for order in counts if order > 1]
@@ -442,14 +447,6 @@ def canonicalize(summands):
     return AbelianGroup(free_rank=free_rank, torsion=tuple(factors))
 
 
-def _sparse_rows(rows, diagonal):
-    """The dict rows plus ``diagonal`` times the identity, as the cokernel
-    takes them: nonzero entries only, keys ascending."""
-    for i, row in enumerate(rows):
-        row[i] = row.get(i, 0) + diagonal
-    return [{j: row[j] for j in sorted(row) if row[j]} for row in rows]
-
-
 def kgroups_of_system(sys):
     """K0 and K1 of the Cuntz-Krieger algebra of a built tile system.
 
@@ -467,31 +464,58 @@ def kgroups_of_system(sys):
             row = rows[i]
             row[right] = row.get(right, 0) + 1
             row[bottom] = row.get(bottom, 0) + 1
-    k0 = _cokernel_of_rows(_sparse_rows(rows, -1), m)
+    for i, row in enumerate(rows):
+        row[i] = row.get(i, 0) - 1
+    k0 = _cokernel_of_rows([{j: row[j] for j in sorted(row) if row[j]} for row in rows], m)
     return KGroups(k0=k0, k1=AbelianGroup(free_rank=k0.free_rank))
 
 
 def block_matrix_k0(sys):
-    """K0 through the doubled block matrix H, as the cokernel of I_n - (A_k + B_k)^T.
+    """K0 through the doubled block matrix H, as the cokernel of T (I_n - (A_k + B_k)) J.
 
     Equal to ``kgroups_of_system(sys).k0``, by an independent presentation on
     the corner pairs.  The standard one is I_2n - H^T = [[I - A_k^T, -B_k^T],
     [-A_k^T, I - B_k^T]]; subtracting its top rows from its bottom ones leaves
     [-I, I] there, and clearing with that unit block leaves I_n - (A_k + B_k)^T
-    beside an identity, so the cokernel is the same group.  Row j is e_j
-    minus column j of A_k + B_k, summed over the tiles' successors: two tiles
-    at one corner pair differ in their right and in their bottom edge, so A_k
-    and B_k come out 0/1, and a corner pair both beside and below one tile
-    gets -2.  The matrix stays in corner-pair space and is built from
-    ``successors`` alone, with no R, no L and no claimed group, so it is not
-    the edge-space reduction it checks; the tests still take the cokernel of
-    I_2n - H^T itself.  The CLI's check, kgroups and corpus reports and the
-    tests compare the two; the library's K-group path does not pay for it.
+    beside an identity, so the cokernel is the same group, as is that of its
+    transpose (the same Smith form).  Row i is e_i minus the right and below
+    lists of the tiles at corner pair i, from ``successors``: two tiles at one
+    corner pair differ in their right and in their bottom edge, so A_k and B_k
+    come out 0/1, and a corner pair both beside and below one tile gets -2.
+
+    T differences the rows in corner-pair order, so step (a) starts sparse:
+    row i, keyed by its A_k part (the sorted right lists), less the last
+    earlier row p with that key is e_i - e_p - B_k(i) + B_k(p); if B_k(i) !=
+    B_k(p), the last earlier such difference i' - p' with the same pair of
+    B_k parts is subtracted too, leaving e_i - e_p - e_i' + e_p'.  Each row
+    subtracted comes earlier, so T is unit lower-triangular and unimodular
+    whatever the keys: a key can cost speed, never the group.  J reverses the
+    columns, so the unit step (a) pivots on, a row's first, is e_i, which
+    only later rows hold.  The CLI's check, kgroups and corpus reports and
+    the tests compare this with the edge path.
     """
     n = len(sys.omega)
-    rows = [{} for _ in range(n)]
-    for i, right, below in sys.successors:
-        for j in right + below:
-            row = rows[j]
-            row[i] = row.get(i, 0) - 1
-    return _cokernel_of_rows(_sparse_rows(rows, 1), n)
+    right, below = [[] for _ in range(n)], [[] for _ in range(n)]
+    for i, beside, under in sys.successors:
+        right[i] += beside
+        below[i] += under
+    rows, last, last_pair = [], {}, {}
+    for i in range(n):
+        key, b = tuple(sorted(right[i])), tuple(sorted(below[i]))
+        p, bp = last.get(key, (None, None))
+        last[key] = i, b
+        if p is None:
+            plus, minus = (i,), key + b
+        elif b == bp:
+            plus, minus = (i,), (p,)
+        else:
+            q = last_pair.get((b, bp))
+            last_pair[b, bp] = i, p
+            plus, minus = ((i,) + bp, (p,) + b) if q is None else ((i, q[1]), (p, q[0]))
+        row = {}
+        for j in plus:
+            row[j] = row.get(j, 0) + 1
+        for j in minus:
+            row[j] = row.get(j, 0) - 1
+        rows.append({n - 1 - j: row[j] for j in sorted(row, reverse=True) if row[j]})
+    return _cokernel_of_rows(rows, n)

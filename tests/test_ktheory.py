@@ -1,5 +1,7 @@
 import random
+from itertools import accumulate
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -275,6 +277,22 @@ def test_canonicalize_matches_the_prime_by_prime_reference(orders):
     assert canonicalize(orders) == _canonicalize_by_primes(orders)
 
 
+# orders that mostly divide in turn already, as most cokernels' do: a chain
+# d1 | d2 | ... of running products, shuffled among 0s, 1s and at most one
+# stray order
+_CHAIN_LISTS = st.tuples(
+    st.lists(st.integers(1, 6), max_size=6).map(lambda steps: list(accumulate(steps, mul))),
+    st.lists(st.sampled_from([0, 1]), max_size=4),
+    st.lists(st.integers(2, 60), max_size=1),
+).flatmap(lambda parts: st.permutations(sum(parts, [])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CHAIN_LISTS)
+def test_canonicalize_returns_a_sorted_chain_as_it_stands(orders):
+    assert canonicalize(orders) == _canonicalize_by_primes(orders)
+
+
 def test_abelian_group_validation_and_text():
     with pytest.raises(InputError):
         AbelianGroup(free_rank=0, torsion=(3, 4))  # 3 does not divide 4
@@ -320,24 +338,57 @@ def _edge_factors(sys_):
 
 def _presented(monkeypatch, k0_of, sys_):
     """The one matrix whose cokernel ``k0_of(sys_)`` takes, densified from
-    the sparse rows it hands the cokernel."""
+    the sparse rows it hands the cokernel, and the group it returns."""
     seen = []
+    cokernel_of_rows = ktheory._cokernel_of_rows
 
     def captured(rows, size):
         # nonzero entries only, keys ascending, as step (a) expects
         assert all(list(row) == sorted(row) and all(row.values()) for row in rows)
         seen.append(IntMatrix([[row.get(j, 0) for j in range(size)] for row in rows]))
-        return AbelianGroup(free_rank=0)
+        return cokernel_of_rows(rows, size)
 
     monkeypatch.setattr(ktheory, "_cokernel_of_rows", captured)
-    k0_of(sys_)
+    group = k0_of(sys_)
+    monkeypatch.undo()
     (matrix,) = seen
-    return matrix
+    return matrix, group
+
+
+def _differencing_transform(sys_):
+    """T of the block presentation, rebuilt from the dense A_k and B_k rows.
+
+    In corner-pair order, row i of I - (A_k + B_k) is keyed by its A_k row;
+    if an earlier row has that key, T subtracts the last one, p.  If the B_k
+    rows of i and p differ, the difference is keyed by that pair of B_k rows,
+    and the last earlier difference i' - p' with the same pair is subtracted
+    too, which leaves e_i - e_p - e_i' + e_p'.
+    """
+    n = len(sys_.omega)
+    a, b = sys_.a_kappa.data, sys_.b_kappa.data
+    t = IntMatrix.identity(n).to_lists()
+    last, last_pair = {}, {}
+    for i in range(n):
+        key = tuple(a[i])
+        if key in last:
+            p = last[key]
+            t[i][p] -= 1
+            pair = (tuple(b[i]), tuple(b[p]))
+            if pair[0] != pair[1]:
+                if pair in last_pair:
+                    q, q_partner = last_pair[pair]
+                    t[i][q] -= 1
+                    t[i][q_partner] += 1
+                last_pair[pair] = i, p
+        last[key] = i
+    return IntMatrix(t)
 
 
 def test_both_k0_presentations_are_the_stated_matrices(monkeypatch, random_family):
-    # the edge presentation is LR - I_m, the cross-check I_n - (A_k + B_k)^T,
-    # entry by entry, on every family the groups are compared on
+    # the edge presentation is LR - I_m, the cross-check T (I - (A_k + B_k)) J
+    # with T the unit lower-triangular differencing and J the column
+    # reversal, entry by entry, on every family the groups are compared on;
+    # its group is the cokernel of the undifferenced matrix and of I - H_k^T
     systems = [exchange_system(n, m) for n in range(2, 9) for m in range(n, 9)]
     systems += [e.system for e in standard_corpus(seed=1302, circulant_pairs=40)]
     systems += random_family
@@ -348,14 +399,29 @@ def test_both_k0_presentations_are_the_stated_matrices(monkeypatch, random_famil
         ),
     ]
     assert [len(s.omega) for s in systems[-2:]] == [117, 141]
+    differenced = second_level = 0
     for sys_ in systems:
         r, l = _edge_factors(sys_)
         assert r @ l == sys_.a_kappa + sys_.b_kappa, sys_
-        edge_matrix = _presented(monkeypatch, kgroups_of_system, sys_)
+        edge_matrix, groups = _presented(monkeypatch, kgroups_of_system, sys_)
         assert edge_matrix == l @ r - IntMatrix.identity(l.rows), sys_
-        block = _presented(monkeypatch, block_matrix_k0, sys_)
+        block, block_k0 = _presented(monkeypatch, block_matrix_k0, sys_)
         n = len(sys_.omega)
-        assert block == IntMatrix.identity(n) - (sys_.a_kappa + sys_.b_kappa).transpose(), sys_
+        t = _differencing_transform(sys_)
+        assert all(t[i, i] == 1 and not any(t.data[i][i + 1 :]) for i in range(n)), sys_
+        undifferenced = IntMatrix.identity(n) - (sys_.a_kappa + sys_.b_kappa)
+        assert block == IntMatrix([row[::-1] for row in (t @ undifferenced).data]), sys_
+        off_diagonal = [x for i, row in enumerate(t.data) for x in row[:i] if x]
+        differenced += bool(off_diagonal)
+        second_level += 1 in off_diagonal
+        assert block_k0 == groups.k0 == cokernel(undifferenced), sys_
+        assert block_k0 == cokernel(IntMatrix.identity(2 * n) - sys_.h_kappa.transpose()), sys_
+    # of the 159 systems, 128 have a row T differences and 59 a second-level
+    # one, so both levels of the rebuilt T are compared
+    assert (differenced, second_level) == (128, 59), len(systems)
+    # step (a) starts from 414 nonzeros at exchange(8, 8), against 960 undifferenced
+    block, _ = _presented(monkeypatch, block_matrix_k0, exchange_system(8, 8))
+    assert sum(x != 0 for row in block.data for x in row) == 414
 
 
 def test_block_matrix_k0_matches_kgroups_on_exchange_pairs():
@@ -589,7 +655,7 @@ def test_modular_diagonal_zeroes_a_divisible_row_entry_only_while_its_column_is_
 
 @pytest.mark.parametrize(
     "n, m",
-    [(9, 12), (11, 12), (12, 17), (20, 30), (30, 40)]
+    [(9, 12), (11, 12), (12, 17), (20, 30), (30, 40), (40, 60), (50, 75)]
     + [pytest.param(None, None, id="corpus-1302-40")],
 )
 def test_nonsingular_cores_never_reach_the_exact_path(monkeypatch, n, m):
@@ -598,7 +664,8 @@ def test_nonsingular_cores_never_reach_the_exact_path(monkeypatch, n, m):
     # n = 108, than at exchange(11, 12), n = 132, so no core is left to it,
     # singular or not; 60 of the corpus's 130 K0 matrices have a singular core.
     # Past exchange(8, 8), where the presentations are compared entry by
-    # entry, the closed form is the oracle for both, up to 1,200 corner pairs
+    # entry, the closed form is the oracle for both, up to 3,750 corner
+    # pairs: the differenced block rows keep step (a) sparse at that scale
     if n is None:
         systems = [e.system for e in standard_corpus(seed=1302, circulant_pairs=40)]
     else:
