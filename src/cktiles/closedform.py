@@ -12,19 +12,18 @@ tail is the diagonal pair (N-1, g) directly).  K1 is trivial.  Everything
 here is cross-validated against the Smith-normal-form pipeline.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import prod
 
 from .errors import InputError
-from .ktheory import AbelianGroup, KGroups, canonicalize, cokernel, kgroups_of_system
+from .ktheory import AbelianGroup, canonicalize, cokernel, kgroups_of_system
 from .matrices import IntMatrix
 from .textile import MAX_TILES, exchange_system
 
 MAX_SUMMANDS = 2_000_002  # M + N - 2; (10**6, 10**6 + 1) is admitted and takes about 1 s
 
 
-@dataclass(frozen=True)
-class EuclidTrace:
+class EuclidTrace(namedtuple("EuclidTrace", "m n quotients remainders gcd divisible")):
     """Quotients and remainders of the Euclidean algorithm on (m, n), m >= n >= 1.
 
     ``quotients`` is k0, k1, ..., with m = n*k0 + r0 and each later step
@@ -33,45 +32,31 @@ class EuclidTrace:
     there is one quotient.
     """
 
-    m: int
-    n: int
-    quotients: tuple
-    remainders: tuple
-    gcd: int
-    divisible: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClosedFormResult:
+class ClosedFormResult(namedtuple("ClosedFormResult", "N M summands canonical trace g")):
     """Closed-form K0 for an exchange system.
 
     ``summands`` keeps the raw cyclic orders, including any order-1 entries,
     so the formula stays visible; ``canonical`` is their invariant-factor
-    form; ``g`` equals (M-1)(M+N-1).
+    form, an AbelianGroup; ``trace`` is the EuclidTrace; ``g`` equals (M-1)(M+N-1).
     """
 
-    N: int
-    M: int
-    summands: tuple
-    canonical: AbelianGroup
-    trace: EuclidTrace
-    g: int
+    __slots__ = ()
 
     @property
     def k1(self):
         return AbelianGroup.trivial()
 
 
-@dataclass(frozen=True)
-class ClosedFormComparison:
-    """Side-by-side result of the closed form against the matrix pipeline."""
+class ClosedFormComparison(
+    namedtuple("ClosedFormComparison", "N M computed closed k0_agree k1_agree")
+):
+    """Side-by-side result of the closed form against the matrix pipeline:
+    ``computed`` KGroups, the ``closed`` ClosedFormResult and whether K0 and K1 agree."""
 
-    N: int
-    M: int
-    computed: KGroups
-    closed: ClosedFormResult
-    k0_agree: bool
-    k1_agree: bool
+    __slots__ = ()
 
     @property
     def agree(self):

@@ -8,7 +8,7 @@ specification.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InputError
 from .textile import canonical_system, exchange_system
@@ -16,12 +16,8 @@ from .textile import canonical_system, exchange_system
 MAX_CIRCULANT_PAIRS = 1_000  # each entry holds a built system, about 15 KB
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    label: str
-    matrix_a: tuple
-    matrix_b: tuple
-    system: object
+class CorpusEntry(namedtuple("CorpusEntry", "label matrix_a matrix_b system")):
+    __slots__ = ()
 
 
 def circulant_matrix(n, shifts):

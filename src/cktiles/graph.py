@@ -10,23 +10,18 @@ essentiality (no zero row or column), irreducibility (strong connectivity of
 the support digraph) and condition (I) (every cycle has an exit).
 """
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from itertools import chain
-from typing import NamedTuple
 
 from .errors import InputError
 from .matrices import IntMatrix
 
 
-class Edge(NamedTuple):
+class Edge(namedtuple("Edge", "tag source range index")):
     """One directed edge; ``index`` runs 1..multiplicity within (source, range).
     Tuple-backed: it hashes (in C) and pickles as the tuple of its fields."""
 
-    tag: str
-    source: int
-    range: int
-    index: int
+    __slots__ = ()
 
     @property
     def key(self):
@@ -37,24 +32,27 @@ class Edge(NamedTuple):
         return f"{self.tag}({self.source},{self.range})#{self.index}"
 
 
-@dataclass(frozen=True)
-class DirectedMultigraph:
-    """Immutable multigraph on vertices 1..vertex_count with canonically ordered edges."""
+class DirectedMultigraph(namedtuple("DirectedMultigraph", "vertex_count edges label")):
+    """Immutable multigraph on vertices 1..vertex_count with canonically ordered edges.
 
-    vertex_count: int
-    edges: tuple
-    label: str
-    _position: dict = field(init=False, repr=False, compare=False)
-    _by_key: dict = field(init=False, repr=False, compare=False)
-    _out: dict = field(init=False, repr=False, compare=False)  # source -> its edges, in order
+    Edge lookups derived from ``edges`` live in the instance dict, outside the
+    tuple: they take no part in equality, hashing or the repr.
+    """
 
-    def __post_init__(self):
-        out = {}
-        for e in self.edges:
+    def __new__(cls, vertex_count, edges, label):
+        self = super().__new__(cls, vertex_count, edges, label)
+        out = {}  # source -> its edges, in order
+        for e in edges:
             out.setdefault(e[1], []).append(e)
-        object.__setattr__(self, "_position", dict(zip(self.edges, range(len(self.edges)))))
-        object.__setattr__(self, "_by_key", {e[1:]: e for e in self.edges})
-        object.__setattr__(self, "_out", out)
+        self._position = dict(zip(edges, range(len(edges))))
+        self._by_key = {e[1:]: e for e in edges}
+        self._out = out
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through ``__new__``, so ``_replace`` derives the lookups too."""
+        return cls(*fields)
 
     def position(self, edge):
         """Ordinal of ``edge`` in the canonical (source, range, index) order."""

@@ -40,8 +40,7 @@ built from determinantal divisors (d_k = gcd of all k x k minors;
 successive quotients are the invariant factors) checks small inputs.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations
 from math import gcd, prod
 
@@ -49,13 +48,10 @@ from .errors import InputError, InternalCheckError, OracleScaleError
 from .matrices import IntMatrix, rank_minor
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(namedtuple("SnfResult", "left diag right")):
     """Unimodular U, V and diagonal S with U * M * V = S exactly."""
 
-    left: IntMatrix
-    diag: IntMatrix
-    right: IntMatrix
+    __slots__ = ()
 
     @property
     def diagonal(self):
@@ -63,31 +59,34 @@ class SnfResult:
         return [self.diag[i, i] for i in range(min(self.diag.rows, self.diag.cols))]
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(namedtuple("AbelianGroup", "free_rank torsion")):
     """A finitely generated abelian group in invariant-factor form.
 
     ``torsion`` is the ascending divisibility chain d1 | d2 | ... with every
     factor at least 2; the group is Z^free_rank + sum of Z/dZ.
     """
 
-    free_rank: int
-    torsion: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.free_rank) is not int or self.free_rank < 0:
-            raise InputError(f"free rank must be a nonnegative int, got {self.free_rank!r}")
+    def __new__(cls, free_rank, torsion=()):
+        if type(free_rank) is not int or free_rank < 0:
+            raise InputError(f"free rank must be a nonnegative int, got {free_rank!r}")
         try:
-            factors = tuple(self.torsion)
+            factors = tuple(torsion)
         except TypeError:
-            raise InputError(f"torsion must be a list of ints, got {self.torsion!r}") from None
-        object.__setattr__(self, "torsion", factors)
+            raise InputError(f"torsion must be a list of ints, got {torsion!r}") from None
         for d in factors:
             if type(d) is not int or d < 2:
                 raise InputError(f"invariant factors must be ints >= 2, got {d!r}")
         for small, large in zip(factors, factors[1:]):
             if large % small:
                 raise InputError(f"invariant factors must divide in turn: {small} | {large}")
+        return super().__new__(cls, free_rank, factors)
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through ``__new__``, so ``_replace`` runs its checks too."""
+        return cls(*fields)
 
     @classmethod
     def trivial(cls):
@@ -114,16 +113,20 @@ class AbelianGroup:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class KGroups:
+class KGroups(namedtuple("KGroups", "k0 k1")):
     """K0 and K1 of a Cuntz-Krieger algebra; K1 is torsion-free."""
 
-    k0: AbelianGroup
-    k1: AbelianGroup
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k1.torsion:
+    def __new__(cls, k0, k1):
+        if k1.torsion:
             raise InternalCheckError("K1 of a Cuntz-Krieger algebra is torsion-free")
+        return super().__new__(cls, k0, k1)
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through ``__new__``, so ``_replace`` runs its checks too."""
+        return cls(*fields)
 
 
 def _diagonalize(a, rows, cols):

@@ -15,19 +15,17 @@ with the 0/1 transition matrices describing horizontal and vertical
 concatenation of tiles.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter, mul
-from typing import NamedTuple
 
 from .errors import CommutationError, InputError, SpecificationError
 from .graph import Edge, _square_rows, graph_from_matrix, is_essential
 from .matrices import IntMatrix
 
 
-@dataclass(frozen=True)
-class Specification:
+class Specification(namedtuple("Specification", "domain mapping")):
     """A bijection from A-then-B edge paths to B-then-A edge paths.
 
     ``domain`` is ordered, and a built system numbers its tiles in that
@@ -37,8 +35,7 @@ class Specification:
     some (a, beta) with r(a) = s(beta), s(alpha) = s(a) and r(b) = r(beta).
     """
 
-    domain: tuple
-    mapping: dict
+    __slots__ = ()
 
     def __call__(self, alpha, b):
         return self.mapping[(alpha, b)]
@@ -48,34 +45,31 @@ class Specification:
         return tuple((pair, self.mapping[pair]) for pair in self.domain)
 
 
-class Tile(NamedTuple):
+class Tile(namedtuple("Tile", "top right left bottom")):
     """A unit square tile; the four edges satisfy kappa(top, right) = (left, bottom).
     Tuple-backed: it hashes (in C) and pickles as the tuple of its fields."""
 
-    top: object
-    right: object
-    left: object
-    bottom: object
+    __slots__ = ()
 
     def __repr__(self):
         return f"Tile(t={self.top!r}, r={self.right!r}, l={self.left!r}, b={self.bottom!r})"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of validating a specification; false-y iff some constraint failed."""
+class ValidationReport(
+    namedtuple("ValidationReport", "ok failure detail pair", defaults=(None, None, None))
+):
+    """Outcome of validating a specification; false-y iff some constraint failed.
+    ``failure`` names the constraint, ``detail`` says how and ``pair`` is the domain pair."""
 
-    ok: bool
-    failure: str | None = None
-    detail: str | None = None
-    pair: tuple | None = None
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
 
 
-@dataclass(frozen=True)
-class TextileSystem:
+class TextileSystem(
+    namedtuple("TextileSystem", "graph_a graph_b kappa tiles omega edge_ids corner_ids")
+):
     """A built tile system: tiles, corner pairs and their integer view; matrices on read.
 
     ``omega`` lists the (top, left) corners of tiles in lexicographic order of
@@ -83,16 +77,9 @@ class TextileSystem:
     check and search reads, is ``edge_ids``, four tuples indexed like ``tiles``
     (each tile's top, right, left and bottom edge as its position in its graph),
     and ``corner_ids``, each tile's corner pair as its index in ``omega``.  The
-    dense {0,1} matrices ``a_kappa``, ``b_kappa`` and ``h_kappa`` are built on first read.
+    dense {0,1} matrices ``a_kappa``, ``b_kappa`` and ``h_kappa`` are built on first read,
+    into the instance dict that ``cached_property`` needs.
     """
-
-    graph_a: object
-    graph_b: object
-    kappa: Specification
-    tiles: tuple
-    omega: tuple
-    edge_ids: tuple = field(compare=False)  # derived from the tiles, as is corner_ids
-    corner_ids: tuple = field(compare=False)
 
     @cached_property
     def successors(self):

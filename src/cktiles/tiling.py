@@ -23,8 +23,7 @@ is a Right then a Down move.  Repeated swaps turn a chain with both kinds of
 move into one of the same length and ends that starts with a Right.
 """
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 
 from .errors import InputError
 from .graph import unreachable_pair
@@ -33,8 +32,7 @@ RIGHT = "right"
 DOWN = "down"
 
 
-@dataclass(frozen=True)
-class PavedPatch:
+class PavedPatch(namedtuple("PavedPatch", "cells")):
     """A finite assignment of lattice positions to tiles, hashed by its cells.
 
     The constructor admits any cells, connected and agreeing or not;
@@ -43,7 +41,7 @@ class PavedPatch:
     :meth:`is_connected` report on whatever cells a patch holds.
     """
 
-    cells: dict
+    __slots__ = ()
 
     def __hash__(self):
         return hash(frozenset(self.cells.items()))
@@ -98,18 +96,14 @@ def _neighbor_conflicts(cells, position, tile):
             yield neighbor, f"{mine} {getattr(tile, mine)!r} != {theirs} {getattr(other, theirs)!r}"
 
 
-@dataclass(frozen=True)
-class StaircaseWitness:
+class StaircaseWitness(namedtuple("StaircaseWitness", "start moves tiles end_position")):
     """A Right/Down chain of tiles certifying that two tiles co-occur.
 
     ``tiles`` holds the tile placed by each move; ``end_position`` is the
     lattice offset of the final tile from the start and satisfies j < 0 < i.
     """
 
-    start: object
-    moves: tuple
-    tiles: tuple
-    end_position: tuple
+    __slots__ = ()
 
     def positions(self):
         """Lattice positions visited, starting at (0, 0)."""
@@ -124,13 +118,12 @@ class StaircaseWitness:
         return out
 
 
-@dataclass(frozen=True)
-class DiagonalPropertyResult:
+class DiagonalPropertyResult(
+    namedtuple("DiagonalPropertyResult", "ok pair completions", defaults=(None, None))
+):
     """Outcome of the diagonal-property count; false-y with a counterexample on failure."""
 
-    ok: bool
-    pair: tuple | None = None
-    completions: tuple | None = None
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
