@@ -239,10 +239,8 @@ def _pretty_lines(value, indent):
     pad = "  " * indent
     if isinstance(value, dict):
         labelled = [(f"{key}:", item) for key, item in value.items()]
-    elif isinstance(value, list):
-        labelled = [("-", item) for item in value]
     else:
-        return [pad + _pretty_scalar(value)]
+        labelled = [("-", item) for item in value]
     lines = []
     for label, item in labelled:
         if isinstance(item, (dict, list)) and not _is_scalar_list(item):
@@ -255,8 +253,6 @@ def _pretty_lines(value, indent):
 def _pretty_scalar(value):
     if isinstance(value, bool):
         return "true" if value else "false"
-    if value is None:
-        return "null"
     if isinstance(value, list):
         return "[" + ", ".join(_pretty_scalar(x) for x in value) + "]"
     return str(value)

@@ -14,13 +14,27 @@ second strictly right-and-below the first".  :func:`is_transitive_search`
 asks this of every pair in one sweep; :func:`find_transitivity_witness`
 builds one shortest witness by a level sweep over integer states.
 
-Both searches start every chain with a Right, by a swap lemma.  Take a Down
-then a Right move, w1 -> w2 -> w3.  kappa's endpoint rules and the links give
+Both searches look only at chains of the form R^i D^j (i, j >= 1), by a swap
+lemma.  Take a Down then a Right move, w1 -> w2 -> w3.  kappa's endpoint rules
+and the links give
 r(right w1) = r(bottom w1) = r(top w2) = s(right w2) = s(left w3) = s(top w3),
 so (right w1, top w3) is a B-then-A path.  kappa maps Sigma_AB onto Sigma_BA
 one to one, so exactly one tile w4 has that left and bottom edge: w1 -> w4 -> w3
-is a Right then a Down move.  Repeated swaps turn a chain with both kinds of
-move into one of the same length and ends that starts with a Right.
+is a Right then a Down move.  Swapping until no Down comes before a Right turns
+a chain with both kinds of move into an R^i D^j one of the same length and ends.
+
+The witness search sweeps (tile, saw-a-Right, saw-a-Down) states level by
+level, each making its Right moves before its Down moves, and names the
+witness a FIFO search over all states names.  It makes no Down move before the
+first Right: the start's Right moves come first, so at every level that search
+meets the Right-first states first.  Nor does it make a Right move after a
+Down, which changes no parent: by induction on the level L, no such move
+discovers a state.  Say P = (w2, both flags) at level L moves Right to w3.  By
+the hypothesis a Down move from some Q = (w1, saw a Right) at level L - 1
+first reached P.  Q's Right move into the swap tile w4 came first, so its state
+Y, which saw a Right, was discovered before P at a level of at most L, and Y's
+Down move into (w3, both flags) came before P's moves.  Goals have both flags,
+so only a Down move first reaches one.
 """
 
 from collections import defaultdict, namedtuple
@@ -218,15 +232,13 @@ def _require_bound(max_steps):
 
 
 def _staircase_bfs(sys, start_idx, max_steps, target_idx):
-    """Breadth-first search over Right-first (tile, saw-a-Right, saw-a-Down) states.
+    """Breadth-first search over the (tile, saw-a-Right, saw-a-Down) states of R^i D^j chains.
 
-    A state is the int ``4 * tile index + 2 * saw_right + saw_down``; no Down
-    move leaves a state that saw no Right.  The states are swept level by
-    level in the order a FIFO queue would dequeue them, each tested as a goal
-    when first discovered, so the first goal and its parent chain are those a
-    goal test at dequeue gives.  A queue that also keeps Down-only states
-    dequeues the states whose chain starts with a Right first at every level,
-    so it gives the same witness.
+    A state is the int ``4 * tile index + 2 * saw_right + saw_down``.  Only a
+    state that saw no Down makes Right moves, only one that saw a Right makes
+    Down moves, and each state a Down move first reaches is tested as a goal;
+    the module docstring shows that this names the witness of a FIFO search over
+    all states that tests at dequeue.
 
     Returns the parent map, ``{state: (parent state, move)}`` with None for the
     start, and the first state with both flags set whose tile has the
@@ -246,13 +258,10 @@ def _staircase_bfs(sys, start_idx, max_steps, target_idx):
         discovered = []
         for state in level:
             idx = state >> 2
-            flags = (state & 1) | 2  # a Right move sets saw_right
-            for base in by_left[right[idx]]:
-                nxt = base | flags
+            for base in () if state & 1 else by_left[right[idx]]:  # no Right after a Down
+                nxt = base | 2  # a Right move sets saw_right
                 if nxt not in parents:
                     parents[nxt] = (state, RIGHT)
-                    if nxt in goals:
-                        return parents, nxt
                     discovered.append(nxt)
             for base in by_top[bottom[idx]] if state & 2 else ():  # no Down before a Right
                 nxt = base | 3  # so a Down move sets both flags
@@ -290,14 +299,13 @@ def witness_path(sys, start, target, max_steps):
 def find_transitivity_witness(sys, start, target, max_steps):
     """Shortest staircase witness from ``start`` to ``target``, by breadth-first search.
 
-    States are (tile, saw-a-Right, saw-a-Down) with no Down before a Right;
-    the goal is any state with both flags set whose tile shares the (top,
-    left) corner of ``target``.  The search sweeps the states level by level
-    and tests each for the goal when it is discovered, which finds the
-    witness a FIFO search testing at dequeue finds.  Returns None when no
-    witness exists within ``max_steps`` moves; that is a result, not an
-    error.  Every link is read off the tiles listed by edge, so the witness
-    is valid as built; :func:`witness_is_valid` re-verifies it in tests.
+    States are (tile, saw-a-Right, saw-a-Down) along R^i D^j chains; the goal is
+    any state with both flags set whose tile shares the (top, left) corner of
+    ``target``, and it is found at the level and by the parent chain a FIFO
+    search over all states testing at dequeue finds.  Returns None when no
+    witness exists within ``max_steps`` moves; that is a result, not an error.
+    Every link is read off the tiles listed by edge, so the witness is valid as
+    built; :func:`witness_is_valid` re-verifies it in tests.
     """
     tiles = sys.tiles
     if start not in tiles or target not in tiles:
@@ -315,19 +323,17 @@ def find_transitivity_witness(sys, start, target, max_steps):
 def is_transitive_search(sys, max_steps=None):
     """True iff every ordered pair of tiles admits a staircase witness.
 
-    w' has a witness within ``max_steps`` moves exactly when a state with both
-    flags set reached within them has the (top, left) corner of w'.  One
-    level-by-level sweep runs every start at once, one bit per start tile: a
-    tile holds the starts reaching it having seen a Right only, or both, as
-    two lanes of one int.  A level moves a tile's new starts from its right
-    edge to the tiles of that left edge, and from its bottom edge to the tiles
-    of that top edge, minus the starts each has seen, and a corner collects
-    its tiles' both-flag starts.  The start, with neither flag, makes its
-    Right moves at level 0.  So bit s follows, level by level, exactly the
-    states :func:`find_transitivity_witness` reaches from s, and the answer is
-    that of a sweep per start at every bound.  A start with no new states has
-    none later, so the sweep stops at the first level where every start covers
-    every corner (True) or some start that does not is dead (False).  A level
+    A witness may be taken as R^i D^j (module docstring), so one level sweep on
+    the staircase edge digraph runs every start at once, one bit per start tile.
+    Node b is B-edge b (Right phase) and node ``len(E_B) + a`` is A-edge a (Down
+    phase); each tile adds the arcs left -> right, left -> bottom (the first
+    Down) and top -> bottom (a later Down), and start s enters node right(s) at
+    level 1.  Reaching a node at level k is making the k-th move into every tile
+    with that left (or top) edge, so reaching an A-edge covers every corner pair
+    on it, and w' has a witness from s within ``max_steps`` moves exactly when s
+    reaches top(w') within that many levels.  A start with no new node has none
+    later, so the sweep stops at the first level where every start has reached
+    every tile's top (True) or some start that has not is dead (False).  A level
     costs O(T + m) operations on T-bit ints; on a non-transitive system every
     start advances until the first one dies.
 
@@ -342,36 +348,34 @@ def is_transitive_search(sys, max_steps=None):
     _require_bound(max_steps)
     if not sys.tiles:
         return False
-    top, right, left, bottom = sys.edge_ids
-    both = len(top)  # bit s and both + s of a tile: start s reaches it seeing a Right only, both
-    everyone = (1 << both) - 1
-    into_left = [0] * len(sys.graph_b.edges)  # by B-edge: the states a Right move enters
-    into_top = [0] * len(sys.graph_a.edges)  # by A-edge: the states a Down move enters
-    for k, r in enumerate(right):
-        into_left[r] |= 1 << k
-    seen = [0] * both
-    corners = [0] * len(sys.omega)
+    shift = len(sys.graph_b.edges)
+    heads = [set() for _ in range(shift + len(sys.graph_a.edges))]
+    arriving = [0] * len(heads)  # by node: the starts entering it at this level
+    for s, (t, r, l, b) in enumerate(zip(*sys.edge_ids)):
+        heads[l].update((r, shift + b))
+        heads[shift + t].add(shift + b)
+        arriving[r] |= 1 << s
+    tops = {shift + t for t in sys.edge_ids[0]}
+    everyone = (1 << len(sys.tiles)) - 1
+    reached = [0] * len(heads)
     for _ in range(max_steps):
-        from_right, from_bottom = [0] * len(into_left), [0] * len(into_top)
+        onward = [0] * len(heads)
         live = 0
-        for k, (t, r, l, b, c) in enumerate(zip(top, right, left, bottom, sys.corner_ids)):
-            new = (into_left[l] | into_top[t]) & ~seen[k]
+        for node, new in enumerate(arriving):
+            new &= ~reached[node]
             if new:
-                seen[k] |= new
-                corners[c] |= new
-                from_right[r] |= new
-                from_bottom[b] |= new
+                reached[node] |= new
                 live |= new
+                for head in heads[node]:
+                    onward[head] |= new
         complete = everyone
-        for covered in corners:
-            complete &= covered >> both
+        for node in tops:
+            complete &= reached[node]
         if complete == everyone:
             return True
-        if (live | live >> both | complete) & everyone != everyone:
+        if live | complete != everyone:
             return False
-        # a Right move keeps each lane; a Down move puts both lanes into both
-        into_left = from_right
-        into_top = [((s | s >> both) & everyone) << both for s in from_bottom]
+        arriving = onward
     return False
 
 

@@ -18,6 +18,7 @@ from cktiles.closedform import closed_form_kgroups
 from cktiles.graph import graph_from_matrix
 from cktiles.ktheory import block_matrix_k0, canonicalize, kgroups_of_system
 from cktiles.textile import Specification, build_system, exchange_system
+from cktiles.tiling import is_transitive_matrix, is_transitive_search
 
 EXCHANGE_PAIRS = [(n, m) for n in range(2, 7) for m in range(n, 7)]
 
@@ -85,3 +86,7 @@ def test_k_groups_of_an_interleaved_direct_sum_are_the_sums_of_the_blocks(corpus
     assert groups.k0 == expected
     assert groups.k1.free_rank == k1_rank
     assert block_matrix_k0(whole) == expected
+    # no staircase joins two blocks; the search is monotone in its bound, so
+    # False at the default and at 10**9 is False at every bound
+    assert not is_transitive_matrix(whole)
+    assert not is_transitive_search(whole) and not is_transitive_search(whole, 10**9)

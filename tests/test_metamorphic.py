@@ -21,7 +21,7 @@ import reference_reachability as ref
 from cktiles.graph import graph_from_matrix
 from cktiles.ktheory import block_matrix_k0, kgroups_of_system
 from cktiles.textile import Specification, build_system, exchange_system
-from cktiles.tiling import _unreachable_corner_pair, is_transitive_matrix
+from cktiles.tiling import _unreachable_corner_pair, is_transitive_matrix, is_transitive_search
 
 
 def _moved(rng, k):
@@ -60,7 +60,8 @@ def _relabelled(sys_, rng):
 def _invariants(sys_):
     groups = kgroups_of_system(sys_)
     assert block_matrix_k0(sys_) == groups.k0
-    return groups.k0, groups.k1, is_transitive_matrix(sys_)
+    # the staircase search indexes the edges, which relabelling renumbers
+    return groups.k0, groups.k1, is_transitive_matrix(sys_), is_transitive_search(sys_)
 
 
 def _exchange_systems():
@@ -78,6 +79,7 @@ def test_relabelling_keeps_k_groups_and_transitivity(family, corpus):
         answers.append(_invariants(relabelled))
         assert answers[-1] == _invariants(sys_)
         assert _unreachable_corner_pair(relabelled) == ref.unreachable_corner_pair(relabelled)
-    assert {transitive for _, _, transitive in answers} == (
+    assert all(by_matrix == by_search for _, _, by_matrix, by_search in answers)
+    assert {transitive for _, _, transitive, _ in answers} == (
         {True, False} if family == "corpus" else {True}
     )

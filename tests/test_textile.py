@@ -243,6 +243,18 @@ def test_validate_specification_reports_domain_mismatch():
     assert report.failure == "domain-mismatch"
 
 
+def test_build_system_reports_a_pair_missing_from_the_mapping():
+    # the domain lists every composable pair, so only the mapping is short
+    ga, gb = _graphs([[2]], [[2]])
+    pairs = sigma_ab(ga, gb)
+    mapping = dict(zip(pairs[:-1], sigma_ba(ga, gb)))
+    kappa = Specification(domain=tuple(pairs), mapping=mapping)
+    report = validate_specification(kappa, ga, gb)
+    assert (report.ok, report.failure, report.pair) == (False, "domain-mismatch", pairs[-1])
+    with pytest.raises(SpecificationError, match=r"^domain-mismatch: pair missing from mapping$"):
+        build_system(ga, gb, kappa)
+
+
 def _edges(graph, *keys):
     return [graph.edge_by_key(key) for key in keys]
 

@@ -587,3 +587,56 @@ def test_consumers_read_the_integer_view_and_look_up_no_edge(random_family):
         for graph in (sys_.graph_a, sys_.graph_b):
             object.__setattr__(graph, "_position", _NoLookups())
         assert _integer_view_reads(sys_) == expected
+
+
+def test_every_witness_is_right_then_down(corpus, staircase_systems):
+    # the searches make no Down move before a Right and no Right move after a
+    # Down, so every witness is R^i D^j with i, j >= 1
+    rng = random.Random(43)
+    cases = [(e.system, list(product(range(len(e.system.tiles)), repeat=2))) for e in corpus]
+    cases += [(s, rng.sample(list(product(range(len(s.tiles)), repeat=2)), 200)) for s in staircase_systems]
+    found = 0
+    for sys_, pairs in cases:
+        for start, target in pairs:
+            witness = tiling.witness_path(sys_, start, target, 2 * len(sys_.omega))
+            if witness is not None:
+                moves = witness[0]
+                rights = moves.count(RIGHT)
+                assert 1 <= rights < len(moves), moves
+                assert moves == (RIGHT,) * rights + (DOWN,) * (len(moves) - rights), moves
+                found += 1
+    assert found > 5000
+
+
+def test_witness_is_valid_refuses_every_corruption():
+    sys_ = exchange_system(2, 3)
+    start, target = sys_.tiles[0], sys_.tiles[5]
+    witness = find_transitivity_witness(sys_, start, target, 6)
+    assert witness.moves == (RIGHT, DOWN) and witness_is_valid(sys_, witness, start, target)
+    beside, below = witness.tiles
+    foreign = exchange_system(3, 3).tiles[-1]
+    assert foreign not in sys_.tiles
+    unlinked_right = next(t for t in sys_.tiles if t.left != start.right)
+    unlinked_down = next(t for t in sys_.tiles if t.top != beside.bottom)
+    other_corner = next(t for t in sys_.tiles if (t.top, t.left) != (below.top, below.left))
+    corrupted = {  # name: (witness, target), each refused by its own check
+        "start": (witness._replace(start=sys_.tiles[1]), target),
+        "length": (witness._replace(moves=(RIGHT, DOWN, DOWN)), target),
+        "foreign tile": (witness._replace(tiles=(foreign, below)), target),
+        "right link": (witness._replace(tiles=(unlinked_right, below)), target),
+        "down link": (witness._replace(tiles=(beside, unlinked_down)), target),
+        "move": (witness._replace(moves=(RIGHT, "up")), target),
+        "end position": (witness._replace(end_position=(2, -1)), target),
+        "not below": (witness._replace(moves=(RIGHT,), tiles=(beside,), end_position=(1, 0)), beside),
+        "target corner": (witness, other_corner),
+    }
+    for name, (bad, bad_target) in corrupted.items():
+        assert not witness_is_valid(sys_, bad, start, bad_target), name
+
+
+def test_diagonal_property_holds_with_a_shared_top_right_pair():
+    # two tiles share (top, right), but no bottom edge is a top and no (left,
+    # bottom) pair repeats, so no diagonal pair has two completions
+    tiles = [Tile(*edges) for edges in ("abcd", "abef")]
+    result = diagonal_property_of_tiles(tiles)
+    assert result.ok and result == (True, None, None)
