@@ -1,6 +1,6 @@
 """Which lines of the package the tier-1 tests never run.
 
-    python3 tests/linecov.py [PYTEST ARGS ...]
+    python3 tests/linecov.py
 
 Runs the tier-1 suite in this process under ``sys.settrace`` (and
 ``threading.settrace``), tracing only frames whose code lives in
@@ -8,7 +8,6 @@ Runs the tier-1 suite in this process under ``sys.settrace`` (and
 ``path:line: source``, and a count.  A line is executable when the line
 table of some code object compiled from the file names it (``co_lines``);
 a function's ``def`` line counts as reached when the function is called.
-PYTEST ARGS, if given, replace the default tier-1 arguments.
 
 Only this process is traced: the CLI tests that run the package in a
 subprocess reach their lines unseen, so a line they alone run is reported.
@@ -62,7 +61,7 @@ def tracer(files, reached):
     return calls
 
 
-def main(argv):
+def main():
     import pytest
 
     files = set(PACKAGE.rglob("*.py"))
@@ -72,7 +71,7 @@ def main(argv):
     threading.settrace(trace)
     sys.settrace(trace)
     try:
-        status = pytest.main(argv or TIER1)
+        status = pytest.main(TIER1)
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -89,4 +88,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
